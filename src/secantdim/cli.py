@@ -22,6 +22,7 @@ from .scanner import (
     S_POLICIES,
     THEOREM_RANGE,
     ScanGrid,
+    VerifySummary,
     grid_from_ranges,
     records_to_csv,
     records_to_json,
@@ -36,6 +37,10 @@ from .terracini import SampleConfig, SegreVeroneseParams
 
 _BACKENDS = {"modular": MODULAR, "exact": EXACT_RATIONAL}
 _GRID_CELL = re.compile(r"\(\s*(\d+)\s*,\s*(\d+)\s*,\s*(\d+)\s*\)")
+_SUITE_CHECKS = {
+    "theorem": ALL_CHECKS,
+    "castelnuovo": (CHECK_CASTELNUOVO, CHECK_PROJECTION),
+}
 
 
 @dataclass(frozen=True)
@@ -142,18 +147,24 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _parse_grid(args: argparse.Namespace, s_policy: str, s_margin: int, s_list):
+def _parse_grids(
+    args: argparse.Namespace, s_policy: str, s_margin: int, s_list
+) -> list[ScanGrid]:
+    """One single-cell grid per listed --grid cell, deduplicated and in
+    lexicographic order, or the one range grid."""
     if args.grid is not None:
         cells = _GRID_CELL.findall(args.grid)
         if not cells:
             raise ValueError(f"could not parse grid {args.grid!r}")
-        ns = tuple(sorted({int(c[0]) for c in cells}))
-        ms = tuple(sorted({int(c[1]) for c in cells}))
-        ds = tuple(sorted({int(c[2]) for c in cells}))
-        return ScanGrid(ns, ms, ds, s_policy, s_margin, s_list)
-    return grid_from_ranges(
-        args.n_max, args.m_max, args.d_min, args.d_max, s_policy, s_margin, s_list
-    )
+        return [
+            ScanGrid((n,), (m,), (d,), s_policy, s_margin, s_list)
+            for n, m, d in sorted({tuple(int(v) for v in c) for c in cells})
+        ]
+    return [
+        grid_from_ranges(
+            args.n_max, args.m_max, args.d_min, args.d_max, s_policy, s_margin, s_list
+        )
+    ]
 
 
 def _max_degree(args: argparse.Namespace) -> int:
@@ -224,27 +235,28 @@ def main(argv: list[str] | None = None) -> int:
                 if args.s_list
                 else ()
             )
-            grid = _parse_grid(args, args.s_policy, args.s_margin, s_list)
-            records = scan(grid, cfg)
+            grids = _parse_grids(args, args.s_policy, args.s_margin, s_list)
+            records = [r for grid in grids for r in scan(grid, cfg)]
             render = records_to_json if cli.format == "json" else records_to_csv
             _emit(render(records), cli.output)
             return 0
         # verify
-        grid = _parse_grid(args, THEOREM_RANGE, 1, ())
-        if args.target == "dictionary":
-            summary = verify_dictionary_grid(grid, cfg)
-        elif args.target == "castelnuovo":
-            summary = verify_theorem_suite(
+        parts = [
+            verify_dictionary_grid(grid, cfg)
+            if args.target == "dictionary"
+            else verify_theorem_suite(
                 grid,
                 cfg,
                 q_max=args.q_max,
                 t_max=args.t_max,
-                checks=(CHECK_CASTELNUOVO, CHECK_PROJECTION),
+                checks=_SUITE_CHECKS[args.target],
             )
-        else:
-            summary = verify_theorem_suite(
-                grid, cfg, q_max=args.q_max, t_max=args.t_max, checks=ALL_CHECKS
-            )
+            for grid in _parse_grids(args, THEOREM_RANGE, 1, ())
+        ]
+        summary = VerifySummary(
+            sum(part.cells_checked for part in parts),
+            tuple(f for part in parts for f in part.failures),
+        )
         render = summary_to_json if cli.format == "json" else summary_to_csv
         _emit(render(summary), cli.output)
         return 0 if summary.ok else 1

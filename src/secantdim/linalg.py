@@ -136,12 +136,28 @@ def matrix_from_rows(
 
 def rank(mat: Matrix, cfg: FieldConfig) -> int:
     """Rank by Gaussian elimination with first-nonzero pivoting."""
+    return len(_pivot_columns(mat, cfg, transpose=False))
+
+
+def rank_profile(mat: Matrix, cfg: FieldConfig) -> list[int]:
+    """Row rank profile: the rows independent of every row above them.
+
+    These are the pivot columns of the transpose, in increasing order, so
+    the rank of the first k rows is bisect_left(profile, k).
+    """
+    return _pivot_columns(mat, cfg, transpose=True)
+
+
+def _pivot_columns(mat: Matrix, cfg: FieldConfig, transpose: bool) -> list[int]:
     if mat.rows == 0 or mat.cols == 0:
-        return 0
+        return []
     if cfg.is_modular:
         grid = np.array(mat.entries, dtype=np.int64).reshape(mat.rows, mat.cols)
-        return _rank_modular(grid, cfg.modulus)
+        # copy() lays the transpose out row-major again for the row operations
+        return _rank_modular(grid.T.copy() if transpose else grid, cfg.modulus)
     lists = [list(mat.row(i)) for i in range(mat.rows)]
+    if transpose:
+        lists = [list(col) for col in zip(*lists)]
     return _rank_exact(lists)
 
 
@@ -150,9 +166,11 @@ def ideal_dimension(mat: Matrix, cfg: FieldConfig) -> int:
     return mat.cols - rank(mat, cfg)
 
 
-def _rank_modular(grid: np.ndarray, p: int) -> int:
+def _rank_modular(grid: np.ndarray, p: int) -> list[int]:
+    """Pivot columns of an echelon form over GF(p)."""
     grid = grid % p
     nrows, ncols = grid.shape
+    pivots: list[int] = []
     r = 0
     for c in range(ncols):
         pivot = -1
@@ -170,10 +188,11 @@ def _rank_modular(grid: np.ndarray, p: int) -> int:
         if below.size:
             # products stay under p^2 < 2^60, safe in int64
             grid[r + 1 :, c:] = (grid[r + 1 :, c:] - np.outer(below, grid[r, c:])) % p
+        pivots.append(c)
         r += 1
         if r == nrows:
             break
-    return r
+    return pivots
 
 
 def _scale_to_integers(row: Sequence[Scalar]) -> list[int]:
@@ -194,10 +213,12 @@ def _normalize(row: list[int]) -> list[int]:
     return row
 
 
-def _rank_exact(rows: list[list[Scalar]]) -> int:
-    """Fraction-free elimination over the integers, gcd-normalized each step."""
+def _rank_exact(rows: list[list[Scalar]]) -> list[int]:
+    """Pivot columns of a fraction-free echelon form over the integers,
+    gcd-normalized each step."""
     work = [_scale_to_integers(row) for row in rows]
     ncols = len(work[0]) if work else 0
+    pivots: list[int] = []
     r = 0
     for c in range(ncols):
         pivot = next((i for i in range(r, len(work)) if work[i][c]), -1)
@@ -213,7 +234,8 @@ def _rank_exact(rows: list[list[Scalar]]) -> int:
             work[i] = _normalize(
                 [lead * x - head * y for x, y in zip(work[i], prow)]
             )
+        pivots.append(c)
         r += 1
         if r == len(work):
             break
-    return r
+    return pivots

@@ -1,12 +1,16 @@
 """Grid scans, verification suites and report rendering.
 
-Every cell draws its points from a stream derived from (seed, cell key), so
-results do not depend on traversal order and identical inputs reproduce
-byte-identical reports. A cell whose computed dimension falls short of the
-expected one is escalated before being reported: trials are doubled, then
-the same draws are recomputed over the rationals. Only a shortfall that
-survives both is a defect candidate; certification never needs escalation
-because a modular rank cannot overshoot.
+A scan takes one pass per (n, m, d): trial t draws its points from one
+stream derived from (seed, n, m, d, t), and the cell for s uses the first s
+of them, so every s of a row comes from one rank profile. Results do not
+depend on traversal order, a single cell computed on its own equals its
+record in a scan, and identical inputs reproduce byte-identical reports.
+
+A cell whose computed dimension falls short of the expected one is escalated
+before being reported: trials are doubled, then the same draws are
+recomputed over the rationals. Only a shortfall that survives both is a
+defect candidate; certification never needs escalation because a modular
+rank cannot overshoot.
 """
 
 from __future__ import annotations
@@ -29,6 +33,7 @@ from .schemes import (
 from .terracini import (
     SampleConfig,
     SegreVeroneseParams,
+    best_ranks,
     derived_rng,
     derived_seed,
     secant_dimension,
@@ -163,21 +168,36 @@ def grid_from_ranges(
     )
 
 
-def scan_cell(params: SegreVeroneseParams, s: int, cfg: SampleConfig) -> SecantRecord:
-    """Scan one (n, m, d, s) cell, escalating any apparent defect."""
-    cell_cfg = replace(
-        cfg, seed=derived_seed(cfg.seed, params.n, params.m, params.d, s)
-    )
+def _row_config(params: SegreVeroneseParams, cfg: SampleConfig) -> SampleConfig:
+    """The sampling config shared by every s of one (n, m, d) row."""
+    return replace(cfg, seed=derived_seed(cfg.seed, params.n, params.m, params.d))
+
+
+def scan_cell(
+    params: SegreVeroneseParams,
+    s: int,
+    cfg: SampleConfig,
+    best_rank: int | None = None,
+) -> SecantRecord:
+    """Scan one (n, m, d, s) cell, escalating any apparent defect.
+
+    best_rank, when given, is the best stacked rank a scan has already
+    computed for this s with the row's draws; otherwise it is computed here.
+    """
+    row_cfg = _row_config(params, cfg)
     expected = expected_secant_dim(params, s)
-    computed = secant_dimension(params, s, cell_cfg)
+    if best_rank is None:
+        computed = secant_dimension(params, s, row_cfg)
+    else:
+        computed = best_rank - 1
     trials = cfg.trials
     if computed < expected:
         trials = cfg.trials * 2
         computed = max(
-            computed, secant_dimension(params, s, replace(cell_cfg, trials=trials))
+            computed, secant_dimension(params, s, replace(row_cfg, trials=trials))
         )
     if computed < expected:
-        exact = replace(cell_cfg, trials=trials, field=cfg.field.to_rational())
+        exact = replace(row_cfg, trials=trials, field=cfg.field.to_rational())
         computed = max(computed, secant_dimension(params, s, exact))
     th = thresholds(params)
     in_range = params.d >= 3 and (s <= th.s1 or s >= th.s2)
@@ -210,8 +230,10 @@ def scan(grid: ScanGrid, cfg: SampleConfig) -> list[SecantRecord]:
     records = []
     for n, m, d in grid.cells():
         params = SegreVeroneseParams(n, m, d)
-        for s in grid.s_values(params):
-            records.append(scan_cell(params, s, cfg))
+        s_values = grid.s_values(params)
+        ranks = best_ranks(params, s_values, _row_config(params, cfg))
+        for s in s_values:
+            records.append(scan_cell(params, s, cfg, ranks[s]))
     records.sort(key=lambda r: (r.n, r.m, r.d, r.s))
     return records
 

@@ -11,9 +11,10 @@ shortfall is only a candidate.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from math import comb
-from typing import Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -23,9 +24,15 @@ from .linalg import (
     Matrix,
     matrix_from_rows,
     rank,
+    rank_profile,
     require_headroom,
 )
 from .monomials import bihomogeneous_basis, derivative_rows
+
+# Largest stacked tangent matrix one pass may build, in entries. Rows, the
+# matrix and its elimination peak near 80 bytes per entry on the modular path
+# (tracemalloc: 78 at (3,3,4), s = 21), so this caps a pass near 2 GB.
+MAX_PASS_ENTRIES = 24_000_000
 
 
 @dataclass(frozen=True)
@@ -149,22 +156,49 @@ def sample_point_pairs(
     ]
 
 
-def _stacked_rank(
-    params: SegreVeroneseParams, points: Sequence[PointPair], cfg: FieldConfig
-) -> int:
-    monos = bihomogeneous_basis(params.n, params.m, 1, params.d).combined()
-    rows: list[list[int]] = []
-    for pt in points:
-        rows.extend(derivative_rows(monos, pt.p + pt.q, cfg))
-    return rank(matrix_from_rows(rows, len(monos), cfg), cfg)
+def best_ranks(
+    params: SegreVeroneseParams, s_values: Iterable[int], cfg: SampleConfig
+) -> dict[int, int]:
+    """Best rank of s stacked tangent blocks over cfg.trials draws, per s.
 
-
-def _best_rank(params: SegreVeroneseParams, s: int, cfg: SampleConfig) -> int:
+    Each trial draws max(s) points once; the matrix for s is the first s
+    blocks of the one for max(s), so a single rank profile yields every
+    prefix rank. A rank never exceeds its cap min(N+1, s(n+m+1)), so each
+    later trial runs only for the s still below it, up to the largest.
+    """
+    wanted = sorted(set(s_values))
+    if not wanted or wanted[0] < 1:
+        raise ValueError("need at least one tangent space")
     require_headroom(cfg.field, params.d + 1)
-    best = 0
+    block = params.n + params.m + 2
+    entries = wanted[-1] * block * params.coefficient_count
+    if entries > MAX_PASS_ENTRIES:
+        raise ValueError(
+            f"s = {wanted[-1]} at {(params.n, params.m, params.d)} needs a "
+            f"{wanted[-1] * block} x {params.coefficient_count} matrix, above "
+            f"the {MAX_PASS_ENTRIES} entry limit"
+        )
+    monos = bihomogeneous_basis(params.n, params.m, 1, params.d).combined()
+    best = dict.fromkeys(wanted, 0)
     for trial in range(cfg.trials):
-        points = sample_point_pairs(params, s, cfg, trial)
-        best = max(best, _stacked_rank(params, points, cfg.field))
+        open_s = [
+            s
+            for s in wanted
+            if best[s] < min(params.coefficient_count, s * (block - 1))
+        ]
+        if not open_s:
+            break
+        rows: list[list[int]] = []
+        for pt in sample_point_pairs(params, open_s[-1], cfg, trial):
+            rows.extend(derivative_rows(monos, pt.p + pt.q, cfg.field))
+        mat = matrix_from_rows(rows, len(monos), cfg.field)
+        if len(open_s) == 1:
+            # one s needs only the rank of the whole matrix
+            best[open_s[0]] = max(best[open_s[0]], rank(mat, cfg.field))
+            continue
+        profile = rank_profile(mat, cfg.field)
+        for s in open_s:
+            best[s] = max(best[s], bisect_left(profile, s * block))
     return best
 
 
@@ -177,9 +211,7 @@ def secant_dimension(
     exceeds min(N, s(n+m+1) - 1) and equals the generic secant dimension
     with overwhelming probability.
     """
-    if s < 1:
-        raise ValueError("need at least one tangent space")
-    return _best_rank(params, s, cfg) - 1
+    return best_ranks(params, (s,), cfg)[s] - 1
 
 
 def ideal_dim_bidegree(
@@ -190,4 +222,4 @@ def ideal_dim_bidegree(
         raise ValueError("s must be non-negative")
     if s == 0:
         return params.coefficient_count
-    return params.coefficient_count - _best_rank(params, s, cfg)
+    return params.coefficient_count - best_ranks(params, (s,), cfg)[s]

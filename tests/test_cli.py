@@ -6,6 +6,8 @@ import sys
 
 import pytest
 
+from secantdim.cli import main
+
 CMD = [sys.executable, "-m", "secantdim"]
 
 
@@ -131,3 +133,42 @@ def test_help_exits_zero():
     proc = run_cli("--help")
     assert proc.returncode == 0
     assert "thresholds" in proc.stdout
+
+
+def _main_json(capsys, *args):
+    assert main(list(args)) == 0
+    return json.loads(capsys.readouterr().out)
+
+
+def test_grid_scans_only_the_listed_cells(capsys):
+    listed = _main_json(capsys, "scan", "--grid", "(2,1,3);(1,2,3);(2,1,3)")
+    assert sorted({(r["n"], r["m"], r["d"]) for r in listed}) == [
+        (1, 2, 3),
+        (2, 1, 3),
+    ]
+    first = _main_json(capsys, "scan", "--grid", "(1,2,3)")
+    second = _main_json(capsys, "scan", "--grid", "(2,1,3)")
+    assert listed == first + second
+
+
+def test_grid_verify_merges_the_listed_cells(capsys):
+    def verify(grid):
+        return _main_json(
+            capsys, "verify", "theorem", "--grid", grid,
+            "--q-max", "1", "--t-max", "1", "--trials", "1",
+        )
+
+    listed = verify("(1,2,3);(2,1,3)")
+    first = verify("(1,2,3)")
+    second = verify("(2,1,3)")
+    assert listed["cellsChecked"] == 4
+    assert listed == {
+        "cellsChecked": first["cellsChecked"] + second["cellsChecked"],
+        "failures": first["failures"] + second["failures"],
+    }
+
+
+def test_oversized_cell_exits_two_before_building_rows(capsys):
+    # a 1100 x 2032316 tangent matrix: refused by the size check
+    assert main(["dim", "10", "10", "10", "50"]) == 2
+    assert "entry limit" in capsys.readouterr().err

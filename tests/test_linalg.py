@@ -1,7 +1,11 @@
 """Exact rank kernel: frozen values and algebraic invariances."""
 
+from bisect import bisect_left
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from secantdim.linalg import (
     DEFAULT_MODULUS,
@@ -12,6 +16,7 @@ from secantdim.linalg import (
     is_prime,
     matrix_from_rows,
     rank,
+    rank_profile,
 )
 
 MOD = FieldConfig()
@@ -114,6 +119,26 @@ def test_backends_agree_on_integer_matrices():
             modular = rank(matrix_from_rows(grid, cols, MOD), MOD)
             exact = rank(matrix_from_rows(grid, cols, RAT), RAT)
         assert modular == exact
+
+
+@st.composite
+def small_integer_matrices(draw):
+    cols = draw(st.integers(1, 6))
+    row = st.lists(st.integers(-3, 3), min_size=cols, max_size=cols)
+    return draw(st.lists(row, max_size=8)), cols
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_integer_matrices())
+def test_rank_profile_gives_every_prefix_rank(matrix):
+    grid, cols = matrix
+    # a small prime makes dependent rows common on the modular side
+    for cfg in (FieldConfig(modulus=7), RAT):
+        profile = rank_profile(matrix_from_rows(grid, cols, cfg), cfg)
+        assert profile == sorted(set(profile))
+        for k in range(len(grid) + 1):
+            prefix = matrix_from_rows(grid[:k], cols, cfg)
+            assert bisect_left(profile, k) == rank(prefix, cfg)
 
 
 def test_exact_backend_handles_fractions():

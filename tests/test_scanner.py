@@ -54,6 +54,25 @@ def test_scan_theorem_range_grid():
             assert rec.trials == CFG.trials
 
 
+def test_scan_cell_alone_equals_its_scan_record():
+    params = SegreVeroneseParams(1, 2, 3)
+    records = scan(ScanGrid(n_values=(1,), m_values=(2,), d_values=(3,)), CFG)
+    assert records == [scan_cell(params, r.s, CFG) for r in records]
+    # the escalated candidate is among them
+    assert any(r.s == 5 and r.status == STATUS_OUT_CANDIDATE for r in records)
+    assert {r.seed for r in records} == {CFG.seed}
+
+
+def test_scan_explicit_s_list_keeps_repeats():
+    grid = ScanGrid(
+        n_values=(1,), m_values=(2,), d_values=(3,), s_policy="explicit",
+        s_list=(2, 1, 2),
+    )
+    records = scan(grid, CFG)
+    assert [r.s for r in records] == [1, 2, 2]
+    assert records[1] == records[2]
+
+
 def test_scan_gap_cell_can_certify():
     records = scan(ScanGrid(n_values=(1,), m_values=(1,), d_values=(3,)), CFG)
     by_s = {r.s: r for r in records}

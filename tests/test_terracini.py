@@ -6,9 +6,11 @@ from secantdim.expected import expected_secant_dim
 from secantdim.linalg import FieldConfig, matrix_from_rows, rank
 from secantdim.monomials import bihomogeneous_basis, evaluation_row
 from secantdim.terracini import (
+    MAX_PASS_ENTRIES,
     PointPair,
     SampleConfig,
     SegreVeroneseParams,
+    best_ranks,
     derived_rng,
     ideal_dim_bidegree,
     random_point_pair,
@@ -120,6 +122,30 @@ def test_dimension_monotone_with_bounded_steps():
             assert prev <= dim <= prev + params.variety_dim + 1
             prev = dim
         assert prev == params.ambient_dim  # fills by the end of the range
+
+
+@pytest.mark.parametrize(
+    "n, m, d", [(1, 1, 3), (1, 2, 3), (2, 1, 3), (2, 3, 2), (1, 2, 4)]
+)
+def test_one_pass_matches_each_secant_dimension(n, m, d):
+    params = SegreVeroneseParams(n, m, d)
+    s_values = range(1, 9)
+    ranks = best_ranks(params, s_values, CFG)
+    assert ranks == {s: secant_dimension(params, s, CFG) + 1 for s in s_values}
+    prev = 0
+    for s in s_values:
+        assert prev <= ranks[s] <= prev + params.variety_dim + 1
+        prev = ranks[s]
+
+
+def test_one_pass_checks_its_size_first():
+    # (10, 10, 10) at s = 50 would be a 1100 x 2032316 matrix
+    params = SegreVeroneseParams(10, 10, 10)
+    assert 50 * 22 * params.coefficient_count > MAX_PASS_ENTRIES
+    with pytest.raises(ValueError, match="entry limit"):
+        best_ranks(params, (1, 50), CFG)
+    with pytest.raises(ValueError):
+        best_ranks(SegreVeroneseParams(1, 1, 3), (), CFG)
 
 
 def test_trials_and_seeds_stable_on_certified_cells():
