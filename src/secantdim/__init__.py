@@ -40,7 +40,6 @@ from .schemes import (
     SchemeSpec,
     add_v_spans,
     castelnuovo_check,
-    double_point_rows,
     project_from_h1,
     residual_trace,
     restricted_basis,

@@ -29,6 +29,11 @@ BACKENDS = (MODULAR, EXACT_RATIONAL)
 # Largest prime below 2^30: leaves headroom for 64-bit multiply-accumulate.
 DEFAULT_MODULUS = 1073741789
 
+# Largest condition matrix a caller may build, in entries. Rows, the matrix
+# and its elimination peak near 60 bytes per entry on the modular path
+# (tracemalloc: 57 at (3,3,4), s = 21), so this caps a matrix near 1.4 GB.
+MAX_MATRIX_ENTRIES = 24_000_000
+
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
@@ -84,6 +89,40 @@ class FieldConfig:
         """Same coordinate range, exact-rational arithmetic."""
         return FieldConfig(modulus=self.modulus, backend=EXACT_RATIONAL)
 
+    @property
+    def dtype(self) -> type:
+        """Array dtype of canonical scalars: int64 residues mod p, or Python
+        numbers in an object array over Q."""
+        return np.int64 if self.is_modular else object
+
+    def reduce(self, values):
+        """Canonical form of a product: its residue mod p, or itself over Q.
+
+        Works on Python integers and on arrays of this config's dtype; two
+        residues below 2^31 multiply without leaving int64.
+        """
+        return values % self.modulus if self.is_modular else values
+
+    def product(self, factors: np.ndarray) -> np.ndarray:
+        """Product over the first axis, reduced after every factor."""
+        out = factors[0]
+        for factor in factors[1:]:
+            out = self.reduce(out * factor)
+        return out
+
+    def array(self, values) -> np.ndarray:
+        """values (nested sequences of integers, or fractions over Q) as an
+        array of canonical scalars."""
+        if not self.is_modular:
+            return np.array(values, dtype=object)
+        try:
+            return np.array(values, dtype=np.int64) % self.modulus
+        except OverflowError:
+            # integers beyond int64 reduce as Python integers first
+            return (np.array(values, dtype=object) % self.modulus).astype(
+                np.int64
+            )
+
 
 DEFAULT_FIELD = FieldConfig()
 
@@ -100,43 +139,55 @@ def require_headroom(cfg: FieldConfig, degree: int) -> None:
         )
 
 
-@dataclass(frozen=True)
+def check_size(rows: int, cols: int, what: str) -> None:
+    """Refuse, before any row is built, a matrix above MAX_MATRIX_ENTRIES."""
+    if rows * cols > MAX_MATRIX_ENTRIES:
+        raise ValueError(
+            f"{what} needs a {rows} x {cols} matrix, above the "
+            f"{MAX_MATRIX_ENTRIES} entry limit"
+        )
+
+
+@dataclass(frozen=True, eq=False)
 class Matrix:
-    """Immutable dense matrix; entries row-major, canonical for the backend."""
+    """Immutable dense matrix held as one rows x cols array of canonical
+    entries: int64 residues for GF(p), Python integers or fractions (object
+    dtype) for Q."""
 
     rows: int
     cols: int
-    entries: tuple
+    entries: np.ndarray
 
     def __post_init__(self) -> None:
         if self.rows < 0 or self.cols < 0:
             raise ValueError("matrix dimensions must be non-negative")
-        if len(self.entries) != self.rows * self.cols:
-            raise ValueError("entry count does not match rows * cols")
+        if np.shape(self.entries) != (self.rows, self.cols):
+            raise ValueError("entry array does not have shape rows x cols")
 
     def row(self, i: int) -> tuple:
-        return self.entries[i * self.cols : (i + 1) * self.cols]
+        return tuple(self.entries[i].tolist())
 
 
 def matrix_from_rows(
     rows: Sequence[Sequence[Scalar]], cols: int, cfg: FieldConfig
 ) -> Matrix:
     """Assemble a Matrix, reducing every entry to canonical form."""
-    flat: list = []
-    for row in rows:
-        if len(row) != cols:
-            raise ValueError("ragged row in matrix construction")
-        if cfg.is_modular:
-            p = cfg.modulus
-            flat.extend(int(x) % p for x in row)
-        else:
-            flat.extend(Fraction(x) for x in row)
-    return Matrix(len(rows), cols, tuple(flat))
+    entries = cfg.array(rows) if len(rows) else np.zeros((0, cols), cfg.dtype)
+    if entries.shape != (len(rows), cols):
+        raise ValueError("ragged row in matrix construction")
+    return Matrix(len(rows), cols, entries)
 
 
 def rank(mat: Matrix, cfg: FieldConfig) -> int:
-    """Rank by Gaussian elimination with first-nonzero pivoting."""
-    return len(_pivot_columns(mat, cfg, transpose=False))
+    """Rank by Gaussian elimination with first-nonzero pivoting.
+
+    Row and column rank agree, so over GF(p) the orientation with fewer rows
+    is eliminated: it needs fewer pivot steps. Over Q the rows are kept as
+    given; on the tall tangent matrices of the d = 2 defect cells the
+    fraction-free elimination of the transpose is about 20% slower.
+    """
+    transpose = cfg.is_modular and mat.rows > mat.cols
+    return len(_pivot_columns(mat, cfg, transpose))
 
 
 def rank_profile(mat: Matrix, cfg: FieldConfig) -> list[int]:
@@ -151,14 +202,10 @@ def rank_profile(mat: Matrix, cfg: FieldConfig) -> list[int]:
 def _pivot_columns(mat: Matrix, cfg: FieldConfig, transpose: bool) -> list[int]:
     if mat.rows == 0 or mat.cols == 0:
         return []
+    grid = mat.entries.T if transpose else mat.entries
     if cfg.is_modular:
-        grid = np.array(mat.entries, dtype=np.int64).reshape(mat.rows, mat.cols)
-        # copy() lays the transpose out row-major again for the row operations
-        return _rank_modular(grid.T.copy() if transpose else grid, cfg.modulus)
-    lists = [list(mat.row(i)) for i in range(mat.rows)]
-    if transpose:
-        lists = [list(col) for col in zip(*lists)]
-    return _rank_exact(lists)
+        return _rank_modular(grid, cfg.modulus)
+    return _rank_exact(grid.tolist())
 
 
 def ideal_dimension(mat: Matrix, cfg: FieldConfig) -> int:
@@ -167,8 +214,9 @@ def ideal_dimension(mat: Matrix, cfg: FieldConfig) -> int:
 
 
 def _rank_modular(grid: np.ndarray, p: int) -> list[int]:
-    """Pivot columns of an echelon form over GF(p)."""
-    grid = grid % p
+    """Pivot columns of an echelon form over GF(p); grid is not modified."""
+    # a reduced, row-major working copy, whatever the layout of grid
+    grid = np.remainder(grid, p, order="C")
     nrows, ncols = grid.shape
     pivots: list[int] = []
     r = 0

@@ -3,13 +3,24 @@
 Exponent vectors are plain tuples, one entry per variable, with the x-block
 before the y-block. Enumeration is lexicographic, descending on the leading
 variable, so column indexing is reproducible across runs and backends.
+
+The row builders are numpy kernels. A basis becomes gather indices into a
+flattened power table once (a small cache keyed by the basis); each point
+gets one power table of canonical scalars (int64 residues for GF(p), Python
+integers for Q). A value row is the product over the variables of one
+gather each, and the partial rows use the lowered exponents E - e_v scaled
+by E[:, v]. monomial_eval and partial_eval are the scalar reference the
+kernels are tested against.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import comb
 from typing import Iterator, Sequence
+
+import numpy as np
 
 from .linalg import FieldConfig
 
@@ -66,62 +77,17 @@ def bihomogeneous_basis(n: int, m: int, a: int, b: int) -> BiBasis:
     return BiBasis(n, m, a, b, monos)
 
 
-def _power_table(
-    point: Sequence[int], maxdeg: int, cfg: FieldConfig
-) -> list[list[int]]:
-    """table[v][e] = point[v]^e, reduced when the backend is modular."""
-    table = []
-    for coord in point:
-        value = int(coord)
-        if cfg.is_modular:
-            value %= cfg.modulus
-        powers = [1]
-        for _ in range(maxdeg):
-            nxt = powers[-1] * value
-            powers.append(nxt % cfg.modulus if cfg.is_modular else nxt)
-        table.append(powers)
-    return table
-
-
-def _eval_from_table(
-    mono: ExponentVector, table: list[list[int]], cfg: FieldConfig
-) -> int:
-    value = 1
-    for v, e in enumerate(mono):
-        if e:
-            value *= table[v][e]
-            if cfg.is_modular:
-                value %= cfg.modulus
-    return value
-
-
-def _partial_from_table(
-    mono: ExponentVector, var: int, table: list[list[int]], cfg: FieldConfig
-) -> int:
-    e = mono[var]
-    if e == 0:
-        return 0
-    value = e
-    for v, ev in enumerate(mono):
-        if v == var:
-            ev -= 1
-        if ev:
-            value *= table[v][ev]
-            if cfg.is_modular:
-                value %= cfg.modulus
-    if cfg.is_modular:
-        value %= cfg.modulus
-    return value
-
-
 def monomial_eval(
     mono: ExponentVector, point: Sequence[int], cfg: FieldConfig
 ) -> int:
-    """Value of the monomial at the point."""
+    """Value of the monomial at the point; the scalar reference for the row
+    kernels below."""
     if len(mono) != len(point):
         raise ValueError("point length does not match the variable count")
-    table = _power_table(point, max(mono, default=0), cfg)
-    return _eval_from_table(mono, table, cfg)
+    value = 1
+    for coord, e in zip(point, mono):
+        value = cfg.reduce(value * cfg.reduce(int(coord)) ** e)
+    return value
 
 
 def partial_eval(
@@ -132,26 +98,101 @@ def partial_eval(
         raise ValueError("point length does not match the variable count")
     if not 0 <= var < len(mono):
         raise ValueError("variable index out of range")
-    table = _power_table(point, max(mono, default=0), cfg)
-    return _partial_from_table(mono, var, table, cfg)
+    e = mono[var]
+    if e == 0:
+        return 0
+    lowered = mono[:var] + (e - 1,) + mono[var + 1 :]
+    return cfg.reduce(e * monomial_eval(lowered, point, cfg))
+
+
+def frozen_array(array: np.ndarray) -> np.ndarray:
+    """A read-only row-major copy, safe to share from a cache."""
+    array = np.array(array, order="C")
+    array.flags.writeable = False
+    return array
+
+
+@dataclass(frozen=True)
+class _Exponents:
+    """A basis as gather indices into a flattened power table.
+
+    With E the k x nvars exponent matrix of the basis, value[v, j] and
+    lowered[v, j] locate point[v]^E[j, v] and
+    point[v]^max(E[j, v] - 1, 0) in a table with width columns, and
+    scale[v, j] = E[j, v] is the factor a partial in variable v brings down.
+    """
+
+    width: int
+    scale: np.ndarray
+    value: np.ndarray
+    lowered: np.ndarray
+
+
+@lru_cache(maxsize=8)
+def _exponents(monomials: tuple[ExponentVector, ...]) -> _Exponents:
+    exps = np.array(monomials, dtype=np.int64).T
+    width = int(exps.max(initial=0)) + 1
+    offsets = width * np.arange(exps.shape[0])[:, None]
+    arrays = (exps, offsets + exps, offsets + np.maximum(exps - 1, 0))
+    return _Exponents(width, *map(frozen_array, arrays))
+
+
+def power_table(
+    point: Sequence[int], maxdeg: int, cfg: FieldConfig
+) -> np.ndarray:
+    """table[v, e] = point[v]^e for e <= maxdeg, as canonical scalars."""
+    coords = cfg.array([int(c) for c in point])
+    table = np.empty((len(coords), maxdeg + 1), dtype=cfg.dtype)
+    table[:, 0] = 1
+    for e in range(1, maxdeg + 1):
+        table[:, e] = cfg.reduce(table[:, e - 1] * coords)
+    return table
+
+
+def _gather(
+    monomials: Sequence[ExponentVector], point: Sequence[int], cfg: FieldConfig
+) -> tuple[_Exponents, np.ndarray]:
+    """The basis layout and the flattened power table of the point."""
+    exps = _exponents(tuple(monomials))
+    if exps.scale.shape[0] != len(point):
+        raise ValueError("point length does not match the variable count")
+    return exps, power_table(point, exps.width - 1, cfg).ravel()
 
 
 def evaluation_row(
     monomials: Sequence[ExponentVector], point: Sequence[int], cfg: FieldConfig
 ) -> list[int]:
-    """Values of every monomial at one point, in basis order."""
-    maxdeg = max((max(mono) for mono in monomials), default=0)
-    table = _power_table(point, maxdeg, cfg)
-    return [_eval_from_table(mono, table, cfg) for mono in monomials]
+    """Values of every monomial at one point, in basis order.
+
+    One gather per variable from the point's power table, multiplied out.
+    """
+    if not monomials:
+        return []
+    exps, table = _gather(monomials, point, cfg)
+    return cfg.product(table[exps.value]).tolist()
 
 
 def derivative_rows(
     monomials: Sequence[ExponentVector], point: Sequence[int], cfg: FieldConfig
 ) -> list[list[int]]:
-    """One row per variable: each monomial's partial derivative at the point."""
-    maxdeg = max((max(mono) for mono in monomials), default=0)
-    table = _power_table(point, maxdeg, cfg)
-    return [
-        [_partial_from_table(mono, var, table, cfg) for mono in monomials]
-        for var in range(len(point))
-    ]
+    """One row per variable: each monomial's partial derivative at the point.
+
+    The partial in v is E[:, v] times the product over u of
+    point[u]^(E - e_v)[:, u]: the lowered power in v, and every other
+    variable's power, taken as a product of prefix and suffix products of
+    the per-variable gathers.
+    """
+    if not monomials:
+        return [[] for _ in point]
+    exps, table = _gather(monomials, point, cfg)
+    values = table[exps.value]
+    nvars, cols = values.shape
+    ones = np.ones((1, cols), dtype=values.dtype)
+    # before[v] = prod_{u < v} values[u], after[v] = prod_{u > v} values[u]
+    before = np.concatenate([ones, values[:-1]])
+    after = np.concatenate([values[1:], ones])
+    for v in range(1, nvars):
+        before[v] = cfg.reduce(before[v] * before[v - 1])
+        after[-1 - v] = cfg.reduce(after[-1 - v] * after[-v])
+    rows = cfg.reduce(exps.scale * table[exps.lowered])
+    return cfg.reduce(cfg.reduce(rows * before) * after).tolist()

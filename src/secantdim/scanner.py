@@ -249,15 +249,23 @@ class VerifySummary:
 
 
 def verify_dictionary_grid(grid: ScanGrid, cfg: SampleConfig) -> VerifySummary:
-    """Check the multigraded / single-graded correspondence on every cell."""
+    """Check the multigraded / single-graded correspondence on every cell.
+
+    The bidegree side of every s in an (n, m, d) row comes from one
+    best_ranks pass on the row's draws, as in a scan; the scheme side of
+    each cell draws from its own (seed, n, m, d, s) stream.
+    """
     failures = []
     cells = 0
     for n, m, d in grid.cells():
         params = SegreVeroneseParams(n, m, d)
-        for s in range(0, thresholds(params).s2 + 2):
+        s_top = thresholds(params).s2 + 1
+        ranks = best_ranks(params, range(1, s_top + 1), _row_config(params, cfg))
+        for s in range(0, s_top + 1):
             cells += 1
             cell_cfg = replace(cfg, seed=derived_seed(cfg.seed, n, m, d, s))
-            check = verify_dictionary(params, s, cell_cfg)
+            lhs = params.coefficient_count - ranks.get(s, 0)
+            check = verify_dictionary(params, s, cell_cfg, lhs)
             if not check.equal:
                 failures.append(
                     {

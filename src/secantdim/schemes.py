@@ -17,13 +17,16 @@ the monomial basis, everything else by explicit condition rows.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from math import comb
+from functools import lru_cache
+from itertools import product
+from math import comb, prod
 from typing import Sequence
 
 import numpy as np
 
 from .linalg import (
     FieldConfig,
+    check_size,
     ideal_dimension,
     matrix_from_rows,
     require_headroom,
@@ -32,7 +35,9 @@ from .monomials import (
     ExponentVector,
     derivative_rows,
     evaluation_row,
+    frozen_array,
     graded_basis,
+    power_table,
 )
 from .terracini import (
     SampleConfig,
@@ -201,41 +206,49 @@ def scheme_basis(spec: SchemeSpec, degree: int) -> tuple[ExponentVector, ...]:
     return tuple(keep)
 
 
-def double_point_rows(
-    basis: Sequence[ExponentVector],
-    point: Sequence[int],
-    cfg: FieldConfig,
-) -> list[list[int]]:
-    """Every first partial of the basis at the point, one row per variable.
+@dataclass(frozen=True)
+class _ChartTerms:
+    """The chart expansion of a basis on span(H1, anchor), anchor aside.
 
-    The value row is omitted: the Euler identity makes it a combination of
-    the partial rows whenever the modulus exceeds the degree.
+    Term t is one pair (basis monomial a^alpha b^beta, gamma <= alpha): it
+    puts multinomial[t] * qa^(alpha - gamma) * qb^beta into column[t] of
+    row[t], the row of the chart monomial mu^gamma. Rows run in reverse
+    lexicographic order of gamma. lowered (per a-variable) and beta (per
+    b-variable) hold the exponents as gather indices into the anchor's
+    flattened power table.
     """
-    return derivative_rows(basis, point, cfg)
+
+    width: int
+    rows: int
+    column: np.ndarray
+    row: np.ndarray
+    multinomial: np.ndarray
+    lowered: np.ndarray
+    beta: np.ndarray
 
 
-def _mu_lambda_terms(
-    alpha: ExponentVector, qa: tuple[int, ...], cfg: FieldConfig
-) -> list[tuple[ExponentVector, int]]:
-    """Expansion of prod_i (mu_i + lam * qa_i)^alpha_i keyed by mu-exponent."""
-    terms: list[tuple[ExponentVector, int]] = [((), 1)]
-    for a_i, q_i in zip(alpha, qa):
-        grown: list[tuple[ExponentVector, int]] = []
-        for gamma, coeff in terms:
-            for g in range(a_i + 1):
-                if cfg.is_modular:
-                    c = (
-                        coeff
-                        * comb(a_i, g)
-                        % cfg.modulus
-                        * pow(q_i % cfg.modulus, a_i - g, cfg.modulus)
-                        % cfg.modulus
-                    )
-                else:
-                    c = coeff * comb(a_i, g) * q_i ** (a_i - g)
-                grown.append((gamma + (g,), c))
-        terms = grown
-    return [(gamma, c) for gamma, c in terms if c]
+@lru_cache(maxsize=8)
+def _chart_terms(basis: tuple[ExponentVector, ...], n: int) -> _ChartTerms:
+    width = max(max(mono) for mono in basis) + 1
+    column, gammas, multinomial, lowered = [], [], [], []
+    for col, mono in enumerate(basis):
+        alpha = mono[:n]
+        for gamma in product(*(range(a + 1) for a in alpha)):
+            column.append(col)
+            gammas.append(gamma)
+            multinomial.append(prod(comb(a, g) for a, g in zip(alpha, gamma)))
+            lowered.append([a - g for a, g in zip(alpha, gamma)])
+    ranked = sorted(set(gammas), reverse=True)
+    order = {gamma: i for i, gamma in enumerate(ranked)}
+    offsets = width * np.arange(len(basis[0]))
+    arrays = (
+        np.array(column),
+        np.array([order[gamma] for gamma in gammas]),
+        np.array(multinomial, dtype=np.int64),
+        (offsets[:n] + np.array(lowered, dtype=np.int64).reshape(-1, n)).T,
+        (offsets[n:] + np.array([mono[n:] for mono in basis])).T,
+    )
+    return _ChartTerms(width, len(order), *map(frozen_array, arrays))
 
 
 def span_rows(
@@ -247,40 +260,34 @@ def span_rows(
     """Conditions for vanishing on span(H1, anchor), by exact restriction.
 
     A point of the span is (mu + lam * qa, lam * qb) with chart coordinates
-    (mu_0..mu_{n-1}, lam). Each basis monomial is expanded in the chart and
-    one row is emitted per chart monomial that occurs; a form contains the
-    span iff all rows annihilate its coefficient vector. No sampling on the
-    span is involved.
+    (mu_0..mu_{n-1}, lam). Expanding a^alpha b^beta there gives, for each
+    gamma <= alpha, the chart monomial mu^gamma with coefficient
+    prod_i C(alpha_i, gamma_i) qa_i^(alpha_i - gamma_i) times qb^beta. The
+    term layout of a basis is computed once; per anchor, the qa and qb
+    powers come from one power table and are scattered into one array.
+    One row is emitted per chart monomial with a nonzero qa-coefficient, in
+    reverse lexicographic order of gamma; a form contains the span iff all
+    rows annihilate its coefficient vector. No sampling on the span is
+    involved.
     """
     if n < 1:
         raise ValueError("span needs a nonempty a-block")
     anchor = tuple(int(c) for c in anchor)
-    qa, qb = anchor[:n], anchor[n:]
-    if not any(qb):
+    if not any(anchor[n:]):
         raise ValueError("span anchor lies on H1")
-    maxdeg = max((sum(mono[n:]) for mono in basis), default=0)
-    btable = []
-    for coord in qb:
-        value = coord % cfg.modulus if cfg.is_modular else coord
-        powers = [1]
-        for _ in range(maxdeg):
-            nxt = powers[-1] * value
-            powers.append(nxt % cfg.modulus if cfg.is_modular else nxt)
-        btable.append(powers)
-    rows: dict[ExponentVector, list[int]] = {}
-    for col, mono in enumerate(basis):
-        alpha, beta = mono[:n], mono[n:]
-        bval = 1
-        for v, e in enumerate(beta):
-            if e:
-                bval *= btable[v][e]
-                if cfg.is_modular:
-                    bval %= cfg.modulus
-        for gamma, coeff in _mu_lambda_terms(alpha, qa, cfg):
-            row = rows.setdefault(gamma, [0] * len(basis))
-            value = row[col] + coeff * bval
-            row[col] = value % cfg.modulus if cfg.is_modular else value
-    return [rows[gamma] for gamma in sorted(rows, reverse=True)]
+    if not basis:
+        return []
+    terms = _chart_terms(tuple(basis), n)
+    table = power_table(anchor, terms.width - 1, cfg).ravel()
+    coeffs = cfg.reduce(
+        cfg.array(terms.multinomial) * cfg.product(table[terms.lowered])
+    )
+    bvals = cfg.product(table[terms.beta])
+    rows = np.zeros((terms.rows, len(basis)), dtype=cfg.dtype)
+    rows[terms.row, terms.column] = cfg.reduce(coeffs * bvals[terms.column])
+    present = np.zeros(terms.rows, dtype=bool)
+    present[terms.row[coeffs != 0]] = True
+    return rows[present].tolist()
 
 
 def w_space_rows(
@@ -297,6 +304,19 @@ def w_space_rows(
     return rows
 
 
+def _row_bound(spec: SchemeSpec, degree: int) -> int:
+    """Most condition rows the configuration can impose in degree.
+
+    A span's rows are chart monomials mu^gamma with |gamma| at most the
+    a-degree of a basis monomial, which the flag caps at degree - fat_h1.
+    """
+    nvars = spec.n + spec.m + 1
+    spans = len(spec.w_anchors) + len(spec.v_spans)
+    per_span = comb(degree - spec.fat_h1 + spec.n, spec.n)
+    points = nvars * len(spec.double_points) + len(spec.simple_points)
+    return points + spans * per_span
+
+
 def scheme_ideal_dimension(
     spec: SchemeSpec, degree: int, cfg: FieldConfig
 ) -> int:
@@ -305,9 +325,16 @@ def scheme_ideal_dimension(
     basis = scheme_basis(spec, degree)
     if not basis:
         return 0
+    check_size(
+        _row_bound(spec, degree),
+        len(basis),
+        f"the degree-{degree} piece of a scheme at {(spec.n, spec.m, spec.d)}",
+    )
     rows: list[list[int]] = []
+    # a double point imposes every first partial; by Euler its value row is
+    # a combination of them, since the modulus exceeds the degree
     for pt in spec.double_points:
-        rows.extend(double_point_rows(basis, pt.coords, cfg))
+        rows.extend(derivative_rows(basis, pt.coords, cfg))
     for coords in spec.simple_points:
         rows.append(evaluation_row(basis, coords, cfg))
     for anchor in spec.w_anchors:
@@ -381,14 +408,17 @@ class DictionaryCheck:
 
 
 def verify_dictionary(
-    params: SegreVeroneseParams, s: int, cfg: SampleConfig
+    params: SegreVeroneseParams, s: int, cfg: SampleConfig, lhs: int | None = None
 ) -> DictionaryCheck:
     """Cross-check the two sides on independent random draws.
 
     Each side takes its best value over cfg.trials draws, so both settle on
-    the generic dimension with overwhelming probability.
+    the generic dimension with overwhelming probability. lhs, when given, is
+    the bidegree side a caller has already computed; otherwise it is
+    computed here from cfg.
     """
-    lhs = ideal_dim_bidegree(params, s, cfg)
+    if lhs is None:
+        lhs = ideal_dim_bidegree(params, s, cfg)
     rhs = None
     for trial in range(cfg.trials):
         rng = derived_rng(cfg.seed, _DICTIONARY_TAG, trial)

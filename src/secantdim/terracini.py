@@ -22,17 +22,13 @@ from .linalg import (
     DEFAULT_FIELD,
     FieldConfig,
     Matrix,
+    check_size,
     matrix_from_rows,
     rank,
     rank_profile,
     require_headroom,
 )
 from .monomials import bihomogeneous_basis, derivative_rows
-
-# Largest stacked tangent matrix one pass may build, in entries. Rows, the
-# matrix and its elimination peak near 80 bytes per entry on the modular path
-# (tracemalloc: 78 at (3,3,4), s = 21), so this caps a pass near 2 GB.
-MAX_PASS_ENTRIES = 24_000_000
 
 
 @dataclass(frozen=True)
@@ -171,13 +167,11 @@ def best_ranks(
         raise ValueError("need at least one tangent space")
     require_headroom(cfg.field, params.d + 1)
     block = params.n + params.m + 2
-    entries = wanted[-1] * block * params.coefficient_count
-    if entries > MAX_PASS_ENTRIES:
-        raise ValueError(
-            f"s = {wanted[-1]} at {(params.n, params.m, params.d)} needs a "
-            f"{wanted[-1] * block} x {params.coefficient_count} matrix, above "
-            f"the {MAX_PASS_ENTRIES} entry limit"
-        )
+    check_size(
+        wanted[-1] * block,
+        params.coefficient_count,
+        f"s = {wanted[-1]} at {(params.n, params.m, params.d)}",
+    )
     monos = bihomogeneous_basis(params.n, params.m, 1, params.d).combined()
     best = dict.fromkeys(wanted, 0)
     for trial in range(cfg.trials):

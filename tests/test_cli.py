@@ -1,6 +1,7 @@
 """End-to-end command line checks through the installed entry point."""
 
 import json
+import resource
 import subprocess
 import sys
 
@@ -172,3 +173,22 @@ def test_oversized_cell_exits_two_before_building_rows(capsys):
     # a 1100 x 2032316 tangent matrix: refused by the size check
     assert main(["dim", "10", "10", "10", "50"]) == 2
     assert "entry limit" in capsys.readouterr().err
+
+
+def test_oversized_scheme_exits_two_before_building_rows():
+    # (3, 10, 10) needs a 72 x 739024 scheme matrix: refused by the size
+    # check; the address-space cap keeps a regression from exhausting memory
+    def cap_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (2**31, 2**31))
+
+    proc = subprocess.run(
+        CMD + ["verify", "castelnuovo", "--grid", "(3,10,10)",
+               "--q-max", "1", "--t-max", "0"],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        preexec_fn=cap_memory,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "entry limit" in proc.stderr

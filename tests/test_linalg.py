@@ -47,7 +47,7 @@ def test_proportional_rows_small_prime():
 def test_entries_reduced_to_canonical_residues():
     cfg = FieldConfig(modulus=7)
     mat = matrix_from_rows([[8, -1, 14]], 3, cfg)
-    assert mat.entries == (1, 6, 0)
+    assert mat.entries.tolist() == [[1, 6, 0]]
 
 
 def test_ideal_dimension_zero_rows():

@@ -3,6 +3,8 @@
 from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from secantdim.linalg import EXACT_RATIONAL, FieldConfig
 from secantdim.monomials import (
@@ -111,3 +113,37 @@ def test_rows_match_scalar_evaluation():
     values = evaluation_row(monos, point, MOD)
     for col, mono in enumerate(monos):
         assert values[col] == monomial_eval(mono, point, MOD)
+
+
+@st.composite
+def bases_and_points(draw):
+    """A graded or bihomogeneous basis and a point, often with zeros."""
+    if draw(st.booleans()):
+        nvars = draw(st.integers(1, 5))
+        monos = graded_basis(nvars, draw(st.integers(0, 4))).monomials
+    else:
+        n, m = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+        a, b = draw(st.integers(0, 2)), draw(st.integers(0, 3))
+        monos = bihomogeneous_basis(n, m, a, b).combined()
+        nvars = n + m + 2
+    coord = st.one_of(st.just(0), st.integers(-(10**12), 10**12))
+    point = draw(st.lists(coord, min_size=nvars, max_size=nvars))
+    return monos, tuple(point)
+
+
+FIELDS = (MOD, FieldConfig(modulus=7), RAT, FieldConfig(modulus=7).to_rational())
+
+
+@settings(max_examples=200, deadline=None)
+@given(bases_and_points(), st.sampled_from(FIELDS))
+def test_row_kernels_match_the_scalar_reference(case, cfg):
+    monos, point = case
+    rows = derivative_rows(monos, point, cfg)
+    assert rows == [
+        [partial_eval(mono, var, point, cfg) for mono in monos]
+        for var in range(len(point))
+    ]
+    values = evaluation_row(monos, point, cfg)
+    assert values == [monomial_eval(mono, point, cfg) for mono in monos]
+    # plain Python integers, never numpy scalars
+    assert all(type(x) is int for row in rows + [values] for x in row)

@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+from pathlib import Path
 
 import pytest
 
@@ -27,10 +28,17 @@ from secantdim.scanner import (
     verify_dictionary_grid,
     verify_theorem_suite,
 )
+from secantdim import terracini
 from secantdim.terracini import SampleConfig, SegreVeroneseParams
 
 
 CFG = SampleConfig(seed=0, trials=2)
+GOLDEN = (
+    Path(__file__).resolve().parents[1]
+    / "benchmarks"
+    / "golden"
+    / "scan-d34.seed0.json"
+)
 
 
 def test_scan_theorem_range_grid():
@@ -191,6 +199,31 @@ def test_verify_dictionary_grid_counts():
     assert summary.ok
     # s runs 0 .. s2+1 per cell: 8 cells for (1,2,3), 8 for (2,2,3)
     assert summary.cells_checked == 16
+
+
+def test_verify_dictionary_grid_takes_one_pass_per_row(monkeypatch):
+    # every lhs of an (n, m, d) row comes from one best_ranks pass, so one
+    # trial costs one tangent elimination per row, not one per s
+    eliminations = []
+
+    def counted(real):
+        def eliminate(mat, cfg):
+            eliminations.append(mat.rows)
+            return real(mat, cfg)
+
+        return eliminate
+
+    for name in ("rank", "rank_profile"):
+        monkeypatch.setattr(terracini, name, counted(getattr(terracini, name)))
+    grid = ScanGrid(n_values=(1, 2), m_values=(2,), d_values=(3,))
+    summary = verify_dictionary_grid(grid, SampleConfig(seed=0, trials=1))
+    assert summary.ok
+    assert len(eliminations) == 2
+
+
+def test_scan_matches_the_benchmark_golden_report():
+    records = scan(grid_from_ranges(3, 3, 3, 4), SampleConfig(seed=0))
+    assert records_to_json(records).encode("utf-8") == GOLDEN.read_bytes()
 
 
 def test_verify_theorem_suite_green():

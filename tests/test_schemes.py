@@ -1,17 +1,19 @@
 """Flag configurations: bases, condition rows, dictionary, splitting."""
 
 import dataclasses
+from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from secantdim.linalg import FieldConfig, matrix_from_rows, rank
-from secantdim.monomials import evaluation_row, graded_basis
+from secantdim.monomials import derivative_rows, evaluation_row, graded_basis
 from secantdim.schemes import (
     SchemePoint,
     SchemeSpec,
     add_v_spans,
     castelnuovo_check,
-    double_point_rows,
     project_from_h1,
     residual_trace,
     restricted_basis,
@@ -29,6 +31,7 @@ from secantdim.terracini import (
     SegreVeroneseParams,
     derived_rng,
     draw_projective_point,
+    ideal_dim_bidegree,
 )
 
 MOD = FieldConfig()
@@ -77,7 +80,7 @@ def test_scheme_basis_without_flag_components():
 def test_double_point_rows_generic_rank():
     basis = restricted_basis(1, 2, 3)
     point = _generic_point(4, 5)
-    rows = double_point_rows(basis, point, MOD)
+    rows = derivative_rows(basis, point, MOD)
     assert len(rows) == 4
     assert rank(matrix_from_rows(rows, len(basis), MOD), MOD) == 4
 
@@ -87,7 +90,7 @@ def test_double_point_value_row_is_dependent():
     # the partial rows
     basis = restricted_basis(2, 2, 3)
     point = _generic_point(5, 6)
-    rows = double_point_rows(basis, point, MOD)
+    rows = derivative_rows(basis, point, MOD)
     with_value = rows + [evaluation_row(basis, point, MOD)]
     cols = len(basis)
     assert rank(matrix_from_rows(rows, cols, MOD), MOD) == rank(
@@ -100,7 +103,7 @@ def test_double_point_on_h1_kills_all_rows():
     # b-degree left, so the whole block vanishes
     basis = restricted_basis(2, 2, 3)
     point = (3, 8, 0, 0, 0)
-    rows = double_point_rows(basis, point, MOD)
+    rows = derivative_rows(basis, point, MOD)
     assert all(all(x == 0 for x in row) for row in rows)
 
 
@@ -310,3 +313,67 @@ def test_scheme_json_round_trip():
     import json
 
     assert scheme_from_dict(json.loads(json.dumps(data))) == spec
+
+
+def _reference_span_rows(basis, n, anchor, cfg):
+    """span_rows as a plain loop: expand each monomial term by term."""
+    qa, qb = anchor[:n], anchor[n:]
+    rows = {}
+    for col, mono in enumerate(basis):
+        alpha, beta = mono[:n], mono[n:]
+        bval = 1
+        for q, e in zip(qb, beta):
+            bval = cfg.reduce(bval * cfg.reduce(q) ** e)
+        terms = [((), 1)]
+        for a_i, q_i in zip(alpha, qa):
+            power = [cfg.reduce(cfg.reduce(q_i) ** k) for k in range(a_i + 1)]
+            terms = [
+                (gamma + (g,), cfg.reduce(c * comb(a_i, g) * power[a_i - g]))
+                for gamma, c in terms
+                for g in range(a_i + 1)
+            ]
+        for gamma, c in terms:
+            if c:
+                row = rows.setdefault(gamma, [0] * len(basis))
+                row[col] = cfg.reduce(c * bval)
+    return [rows[gamma] for gamma in sorted(rows, reverse=True)]
+
+
+@st.composite
+def span_cases(draw):
+    """A scheme basis and an anchor off H1, often with zero coordinates."""
+    n, m, d = draw(st.integers(1, 3)), draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    spec = SchemeSpec(
+        n=n,
+        m=m,
+        d=d,
+        fat_h1=draw(st.sampled_from((0, d))),
+        include_h2=draw(st.booleans()),
+    )
+    basis = scheme_basis(spec, draw(st.sampled_from((d, d + 1))))
+    coord = st.one_of(st.just(0), st.integers(-(10**12), 10**12))
+    anchor = draw(st.lists(coord, min_size=n + m + 1, max_size=n + m + 1))
+    if not any(anchor[n:]):
+        anchor[n] = 1
+    return basis, n, tuple(anchor)
+
+
+SPAN_FIELDS = (MOD, FieldConfig(modulus=7), MOD.to_rational())
+
+
+@settings(max_examples=200, deadline=None)
+@given(span_cases(), st.sampled_from(SPAN_FIELDS))
+def test_span_rows_match_the_loop_expansion(case, cfg):
+    basis, n, anchor = case
+    rows = span_rows(basis, n, anchor, cfg)
+    assert rows == _reference_span_rows(basis, n, anchor, cfg)
+    assert all(type(x) is int for row in rows for x in row)
+
+
+def test_precomputed_dictionary_lhs_is_used_as_given():
+    params = SegreVeroneseParams(1, 2, 3)
+    lhs = ideal_dim_bidegree(params, 2, CFG)
+    assert verify_dictionary(params, 2, CFG, lhs) == verify_dictionary(
+        params, 2, CFG
+    )
+    assert verify_dictionary(params, 2, CFG, lhs + 1).lhs == lhs + 1

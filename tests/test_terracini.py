@@ -3,10 +3,9 @@
 import pytest
 
 from secantdim.expected import expected_secant_dim
-from secantdim.linalg import FieldConfig, matrix_from_rows, rank
+from secantdim.linalg import MAX_MATRIX_ENTRIES, FieldConfig, matrix_from_rows, rank
 from secantdim.monomials import bihomogeneous_basis, evaluation_row
 from secantdim.terracini import (
-    MAX_PASS_ENTRIES,
     PointPair,
     SampleConfig,
     SegreVeroneseParams,
@@ -39,12 +38,12 @@ def test_tangent_block_segre_quadric():
         SegreVeroneseParams(1, 1, 1), PointPair((1, 0), (1, 0)), MOD
     )
     assert (block.rows, block.cols) == (4, 4)
-    assert block.entries == (
-        1, 0, 0, 0,
-        0, 0, 1, 0,
-        1, 0, 0, 0,
-        0, 1, 0, 0,
-    )
+    assert block.entries.tolist() == [
+        [1, 0, 0, 0],
+        [0, 0, 1, 0],
+        [1, 0, 0, 0],
+        [0, 1, 0, 0],
+    ]
     assert rank(block, MOD) == 3
 
 
@@ -72,10 +71,10 @@ def test_euler_relation_is_exact_on_blocks():
         block = tangent_block(params, pt, MOD)
         for col in range(block.cols):
             x_part = sum(
-                pt.p[i] * block.entries[i * block.cols + col] for i in range(n + 1)
+                pt.p[i] * int(block.entries[i, col]) for i in range(n + 1)
             )
             y_part = sum(
-                pt.q[j] * block.entries[(n + 1 + j) * block.cols + col]
+                pt.q[j] * int(block.entries[n + 1 + j, col])
                 for j in range(m + 1)
             )
             assert (d * x_part - y_part) % p == 0
@@ -141,7 +140,7 @@ def test_one_pass_matches_each_secant_dimension(n, m, d):
 def test_one_pass_checks_its_size_first():
     # (10, 10, 10) at s = 50 would be a 1100 x 2032316 matrix
     params = SegreVeroneseParams(10, 10, 10)
-    assert 50 * 22 * params.coefficient_count > MAX_PASS_ENTRIES
+    assert 50 * 22 * params.coefficient_count > MAX_MATRIX_ENTRIES
     with pytest.raises(ValueError, match="entry limit"):
         best_ranks(params, (1, 50), CFG)
     with pytest.raises(ValueError):
