@@ -9,7 +9,10 @@ import pytest
 
 from secantdim.linalg import EXACT_RATIONAL, FieldConfig
 from secantdim.scanner import (
+    CHECK_BASE_LOCUS,
     CHECK_CASTELNUOVO,
+    CHECK_DICTIONARY,
+    CHECK_FORMULA,
     CHECK_PROJECTION,
     RECORD_FIELDS,
     STATUS_CANDIDATE,
@@ -17,6 +20,7 @@ from secantdim.scanner import (
     STATUS_OUT_CANDIDATE,
     STATUS_OUT_CERTIFIED,
     ScanGrid,
+    VerifySummary,
     grassmann_verdict,
     grid_from_ranges,
     records_to_csv,
@@ -268,3 +272,67 @@ def test_summary_serialization():
     assert lines[0] == "# cellsChecked=1"
     assert lines[1] == "check,n,m,d,q,t,s,detail"
     assert len(lines) == 2
+
+
+FAILURES_FIXTURE = Path(__file__).resolve().parent / "fixtures" / "verify_failures"
+
+
+def _forced_failures(monkeypatch) -> VerifySummary:
+    """Every check of both suites fails: each scheme dimension is offset by
+    an amount that grows with the scheme, so no comparison can hold.
+
+    The offset is superadditive in the double points, so a total beats the
+    residual plus the trace it splits into; it also moves with the frame
+    and the spans, so a projection or an added base-locus span changes it.
+    """
+    from secantdim import schemes
+
+    real = schemes.scheme_ideal_dimension
+
+    def offset(spec, degree, cfg):
+        shift = 10**6 * len(spec.double_points) ** 2
+        return real(spec, degree, cfg) + shift + spec.n + len(spec.v_spans)
+
+    for module in _secantdim_modules():
+        for name, value in list(vars(module).items()):
+            if value is real:
+                monkeypatch.setattr(module, name, offset)
+    cfg = SampleConfig(seed=5, trials=1)
+    grid = ScanGrid(n_values=(1, 2), m_values=(1,), d_values=(3,))
+    suite = verify_theorem_suite(grid, cfg, q_max=1, t_max=1)
+    dictionary = verify_dictionary_grid(
+        ScanGrid(n_values=(1,), m_values=(1,), d_values=(3,)), cfg
+    )
+    return VerifySummary(
+        suite.cells_checked + dictionary.cells_checked,
+        suite.failures + dictionary.failures,
+    )
+
+
+def _secantdim_modules():
+    import sys
+
+    return [
+        module
+        for name, module in sorted(sys.modules.items())
+        if module is not None
+        and (name == "secantdim" or name.startswith("secantdim."))
+    ]
+
+
+def test_failure_reports_match_the_golden_bytes(monkeypatch):
+    summary = _forced_failures(monkeypatch)
+    checks = {f["check"] for f in summary.failures}
+    assert checks == {
+        CHECK_FORMULA,
+        CHECK_DICTIONARY,
+        CHECK_BASE_LOCUS,
+        CHECK_CASTELNUOVO,
+        CHECK_PROJECTION,
+    }
+    # the dictionary grid reports by s, the theorem suite by (q, t)
+    assert any("s" in f for f in summary.failures)
+    json_bytes = FAILURES_FIXTURE.with_suffix(".json").read_bytes()
+    csv_bytes = FAILURES_FIXTURE.with_suffix(".csv").read_bytes()
+    assert summary_to_json(summary).encode("utf-8") == json_bytes
+    assert summary_to_csv(summary).encode("utf-8") == csv_bytes
