@@ -11,7 +11,6 @@ import argparse
 import json
 import re
 import sys
-from dataclasses import dataclass
 
 from .expected import thresholds
 from .linalg import DEFAULT_MODULUS, EXACT_RATIONAL, MODULAR, FieldConfig
@@ -23,6 +22,7 @@ from .scanner import (
     THEOREM_RANGE,
     ScanGrid,
     VerifySummary,
+    _csv_value,
     grid_from_ranges,
     records_to_csv,
     records_to_json,
@@ -36,30 +36,11 @@ from .scanner import (
 from .terracini import SampleConfig, SegreVeroneseParams
 
 _BACKENDS = {"modular": MODULAR, "exact": EXACT_RATIONAL}
-_GRID_CELL = re.compile(r"\(\s*(\d+)\s*,\s*(\d+)\s*,\s*(\d+)\s*\)")
+_GRID_CELL = re.compile(r"\s*\(\s*(\d+)\s*,\s*(\d+)\s*,\s*(\d+)\s*\)\s*")
 _SUITE_CHECKS = {
     "theorem": ALL_CHECKS,
     "castelnuovo": (CHECK_CASTELNUOVO, CHECK_PROJECTION),
 }
-
-
-@dataclass(frozen=True)
-class CliConfig:
-    """Parsed global flags."""
-
-    prime: int
-    seed: int
-    trials: int
-    backend: str
-    format: str
-    output: str | None
-
-    def sample_config(self) -> SampleConfig:
-        return SampleConfig(
-            seed=self.seed,
-            trials=self.trials,
-            field=FieldConfig(modulus=self.prime, backend=_BACKENDS[self.backend]),
-        )
 
 
 def _add_common_flags(parser: argparse.ArgumentParser) -> None:
@@ -91,7 +72,8 @@ def _add_grid_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--grid",
         default=None,
-        help='explicit cells, e.g. "(1,2,3);(2,1,3)" (overrides the ranges)',
+        help='explicit cells separated by ";", e.g. "(1,2,3);(2,1,3)" '
+        "(overrides the ranges)",
     )
     parser.add_argument("--n-max", type=int, default=1)
     parser.add_argument("--m-max", type=int, default=1)
@@ -128,10 +110,15 @@ def build_parser() -> argparse.ArgumentParser:
         "--s-policy", choices=S_POLICIES, default=THEOREM_RANGE
     )
     p_scan.add_argument(
-        "--s-margin", type=int, default=1, help="extra s past s2 for all-up-to"
+        "--s-margin",
+        type=int,
+        default=1,
+        help="extra s past s2 (all-up-to only)",
     )
     p_scan.add_argument(
-        "--s-list", default=None, help="comma-separated s values for explicit"
+        "--s-list",
+        default=None,
+        help="comma-separated s values (explicit only; an error otherwise)",
     )
     _add_common_flags(p_scan)
 
@@ -140,74 +127,80 @@ def build_parser() -> argparse.ArgumentParser:
         "target", choices=("dictionary", "theorem", "castelnuovo")
     )
     _add_grid_flags(p_ver)
-    p_ver.add_argument("--q-max", type=int, default=2)
-    p_ver.add_argument("--t-max", type=int, default=2)
+    p_ver.add_argument(
+        "--q-max",
+        type=int,
+        default=2,
+        help="largest q, s = (n+1)q, at least 1 (theorem and castelnuovo only)",
+    )
+    p_ver.add_argument(
+        "--t-max",
+        type=int,
+        default=2,
+        help="largest span count t, at least 0 (theorem and castelnuovo only)",
+    )
     _add_common_flags(p_ver)
 
     return parser
 
 
-def _parse_grids(
-    args: argparse.Namespace, s_policy: str, s_margin: int, s_list
-) -> list[ScanGrid]:
+def _parse_grids(args: argparse.Namespace) -> list[ScanGrid]:
     """One single-cell grid per listed --grid cell, deduplicated and in
     lexicographic order, or the one range grid."""
-    if args.grid is not None:
-        cells = _GRID_CELL.findall(args.grid)
-        if not cells:
-            raise ValueError(f"could not parse grid {args.grid!r}")
-        return [
-            ScanGrid((n,), (m,), (d,), s_policy, s_margin, s_list)
-            for n, m, d in sorted({tuple(int(v) for v in c) for c in cells})
-        ]
-    return [
-        grid_from_ranges(
-            args.n_max, args.m_max, args.d_min, args.d_max, s_policy, s_margin, s_list
+    if args.command == "scan":
+        s_list = (
+            tuple(int(x) for x in args.s_list.split(",")) if args.s_list else ()
         )
-    ]
-
-
-def _max_degree(args: argparse.Namespace) -> int:
-    if args.command in ("dim", "thresholds"):
-        return args.d
-    if args.grid is not None:
-        cells = _GRID_CELL.findall(args.grid)
-        return max((int(c[2]) for c in cells), default=args.d_max)
-    return args.d_max
+        policy = (args.s_policy, args.s_margin, s_list)
+    else:
+        policy = (THEOREM_RANGE, 1, ())
+    if args.grid is None:
+        return [
+            grid_from_ranges(args.n_max, args.m_max, args.d_min, args.d_max, *policy)
+        ]
+    cells = set()
+    for text in args.grid.split(";"):
+        match = _GRID_CELL.fullmatch(text)
+        if match is None:
+            raise ValueError(f"could not parse grid cell {text!r} in {args.grid!r}")
+        cells.add(tuple(int(v) for v in match.groups()))
+    return [ScanGrid((n,), (m,), (d,), *policy) for n, m, d in sorted(cells)]
 
 
 def _emit(text: str, output: str | None) -> None:
     if output is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(output, "w", encoding="utf-8") as handle:
             handle.write(text)
+    except OSError as exc:
+        raise ValueError(f"cannot write {output!r}: {exc.strerror}") from exc
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-
-    cli = CliConfig(
-        prime=args.prime,
-        seed=args.seed,
-        trials=args.trials,
-        backend=args.backend,
-        format=args.format,
-        output=args.output,
-    )
     try:
-        cfg = cli.sample_config()
-        if cli.prime <= _max_degree(args) + 1:
+        cfg = SampleConfig(
+            seed=args.seed,
+            trials=args.trials,
+            field=FieldConfig(modulus=args.prime, backend=_BACKENDS[args.backend]),
+        )
+        if args.command in ("dim", "thresholds"):
+            params = SegreVeroneseParams(args.n, args.m, args.d)
+            max_degree = args.d
+        else:
+            grids = _parse_grids(args)
+            max_degree = max(d for grid in grids for d in grid.d_values)
+        if args.prime <= max_degree + 1:
             raise ValueError("prime must exceed d+1 for every requested d")
         if args.command == "dim":
-            params = SegreVeroneseParams(args.n, args.m, args.d)
             record = scan_cell(params, args.s, cfg)
-            render = records_to_json if cli.format == "json" else records_to_csv
-            _emit(render([record]), cli.output)
+            render = records_to_json if args.format == "json" else records_to_csv
+            _emit(render([record]), args.output)
             return 0
         if args.command == "thresholds":
-            params = SegreVeroneseParams(args.n, args.m, args.d)
             th = thresholds(params)
             data = {
                 "n": args.n,
@@ -218,27 +211,17 @@ def main(argv: list[str] | None = None) -> int:
                 "divisible": th.divisible,
                 "uncovered": th.uncovered,
             }
-            if cli.format == "json":
+            if args.format == "json":
                 text = json.dumps(data, indent=2) + "\n"
             else:
-                keys = list(data)
-                values = [
-                    "true" if v is True else "false" if v is False else str(v)
-                    for v in data.values()
-                ]
-                text = ",".join(keys) + "\n" + ",".join(values) + "\n"
-            _emit(text, cli.output)
+                values = (_csv_value(v) for v in data.values())
+                text = ",".join(data) + "\n" + ",".join(values) + "\n"
+            _emit(text, args.output)
             return 0
         if args.command == "scan":
-            s_list = (
-                tuple(int(x) for x in args.s_list.split(","))
-                if args.s_list
-                else ()
-            )
-            grids = _parse_grids(args, args.s_policy, args.s_margin, s_list)
             records = [r for grid in grids for r in scan(grid, cfg)]
-            render = records_to_json if cli.format == "json" else records_to_csv
-            _emit(render(records), cli.output)
+            render = records_to_json if args.format == "json" else records_to_csv
+            _emit(render(records), args.output)
             return 0
         # verify
         parts = [
@@ -251,14 +234,14 @@ def main(argv: list[str] | None = None) -> int:
                 t_max=args.t_max,
                 checks=_SUITE_CHECKS[args.target],
             )
-            for grid in _parse_grids(args, THEOREM_RANGE, 1, ())
+            for grid in grids
         ]
         summary = VerifySummary(
             sum(part.cells_checked for part in parts),
             tuple(f for part in parts for f in part.failures),
         )
-        render = summary_to_json if cli.format == "json" else summary_to_csv
-        _emit(render(summary), cli.output)
+        render = summary_to_json if args.format == "json" else summary_to_csv
+        _emit(render(summary), args.output)
         return 0 if summary.ok else 1
     except (ValueError, OverflowError) as exc:
         print(f"secantdim: {exc}", file=sys.stderr)

@@ -16,12 +16,16 @@ rank cannot overshoot.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
+from functools import cached_property
 from typing import Iterator, Sequence
 
-from .expected import expected_scheme_dim, expected_secant_dim, thresholds
+from .expected import defect, expected_scheme_dim, thresholds
 from .schemes import (
+    DictionaryCheck,
+    SchemeSpec,
     add_v_spans,
+    best_scheme_dimension,
     castelnuovo_check,
     project_from_h1,
     residual_trace,
@@ -66,25 +70,6 @@ ALL_CHECKS = (
 _TAG_FORMULA = 11
 _TAG_PROOF = 13
 
-RECORD_FIELDS = (
-    "n",
-    "m",
-    "d",
-    "s",
-    "N",
-    "expected",
-    "computed",
-    "defect",
-    "s1",
-    "s2",
-    "inTheoremRange",
-    "status",
-    "seed",
-    "trials",
-    "modulus",
-)
-
-
 @dataclass(frozen=True)
 class SecantRecord:
     """One scanned cell, with enough metadata to reproduce it exactly."""
@@ -104,6 +89,12 @@ class SecantRecord:
     seed: int
     trials: int
     modulus: int
+
+
+# report keys that differ from the SecantRecord attribute names
+_RENAMED = {"ambient": "N", "in_theorem_range": "inTheoremRange"}
+_ATTRS = tuple(f.name for f in fields(SecantRecord))
+RECORD_FIELDS = tuple(_RENAMED.get(attr, attr) for attr in _ATTRS)
 
 
 @dataclass(frozen=True)
@@ -131,6 +122,8 @@ class ScanGrid:
             raise ValueError(f"unknown s policy {self.s_policy!r}")
         if self.s_policy == EXPLICIT and not self.s_list:
             raise ValueError("explicit s policy needs s_list")
+        if self.s_policy != EXPLICIT and self.s_list:
+            raise ValueError(f"s_list needs the {EXPLICIT} s policy")
         if self.s_margin < 0:
             raise ValueError("s_margin must be non-negative")
 
@@ -185,24 +178,24 @@ def scan_cell(
     computed for this s with the row's draws; otherwise it is computed here.
     """
     row_cfg = _row_config(params, cfg)
-    expected = expected_secant_dim(params, s)
     if best_rank is None:
         computed = secant_dimension(params, s, row_cfg)
     else:
         computed = best_rank - 1
+    gap = defect(params, s, computed)
     trials = cfg.trials
-    if computed < expected:
+    if gap.defect:
         trials = cfg.trials * 2
         computed = max(
             computed, secant_dimension(params, s, replace(row_cfg, trials=trials))
         )
-    if computed < expected:
-        exact = replace(row_cfg, trials=trials, field=cfg.field.to_rational())
-        computed = max(computed, secant_dimension(params, s, exact))
+        if computed < gap.expected:
+            exact = replace(row_cfg, trials=trials, field=cfg.field.to_rational())
+            computed = max(computed, secant_dimension(params, s, exact))
+        gap = defect(params, s, computed)
     th = thresholds(params)
     in_range = params.d >= 3 and (s <= th.s1 or s >= th.s2)
-    gap = expected - computed
-    if gap == 0:
+    if gap.defect == 0:
         status = STATUS_CERTIFIED if in_range else STATUS_OUT_CERTIFIED
     else:
         status = STATUS_CANDIDATE if in_range else STATUS_OUT_CANDIDATE
@@ -212,9 +205,9 @@ def scan_cell(
         d=params.d,
         s=s,
         ambient=params.ambient_dim,
-        expected=expected,
-        computed=computed,
-        defect=gap,
+        expected=gap.expected,
+        computed=gap.computed,
+        defect=gap.defect,
         s1=th.s1,
         s2=th.s2,
         in_theorem_range=in_range,
@@ -265,21 +258,11 @@ def verify_dictionary_grid(grid: ScanGrid, cfg: SampleConfig) -> VerifySummary:
             cells += 1
             cell_cfg = replace(cfg, seed=derived_seed(cfg.seed, n, m, d, s))
             lhs = params.coefficient_count - ranks.get(s, 0)
-            check = verify_dictionary(params, s, cell_cfg, lhs)
-            if not check.equal:
+            detail = _dictionary_detail(verify_dictionary(params, s, cell_cfg, lhs))
+            if detail is not None:
+                # this report's key order puts the detail before the metadata
                 failures.append(
-                    {
-                        "check": CHECK_DICTIONARY,
-                        "n": n,
-                        "m": m,
-                        "d": d,
-                        "s": s,
-                        "lhs": check.lhs,
-                        "rhs": check.rhs,
-                        "seed": cfg.seed,
-                        "trials": cfg.trials,
-                        "modulus": cfg.field.modulus,
-                    }
+                    _failure(CHECK_DICTIONARY, params, cfg, {"s": s, **detail})
                 )
     return VerifySummary(cells, tuple(failures))
 
@@ -293,14 +276,20 @@ def verify_theorem_suite(
 ) -> VerifySummary:
     """Exercise the flag-scheme dimension formula and its proof steps.
 
-    Per (n, m, d) cell with d >= 3 and per (q, t): the closed-form scheme
-    dimension, the dictionary at s = (n+1)q, invariance under attaching
-    base-locus spans, the residual/trace bound, and the projection onto
-    P^m. Failures carry the offending configuration in JSON form.
+    Per (n, m, d) cell with d >= 3 and per q: the dictionary at
+    s = (n+1)q; then per t: the closed-form scheme dimension, invariance
+    under attaching base-locus spans, the residual/trace bound, and the
+    projection onto P^m. Failures carry the offending configuration in JSON
+    form.
     """
     unknown = set(checks) - set(ALL_CHECKS)
     if unknown:
         raise ValueError(f"unknown checks: {sorted(unknown)}")
+    if q_max < 1 or t_max < 0:
+        raise ValueError("need q_max >= 1 and t_max >= 0")
+    selected = [name for name in ALL_CHECKS if name in checks]
+    per_q = [name for name in selected if name == CHECK_DICTIONARY]
+    per_t = [name for name in selected if name != CHECK_DICTIONARY]
     failures: list[dict] = []
     cells = 0
     for n, m, d in grid.cells():
@@ -308,132 +297,138 @@ def verify_theorem_suite(
             continue
         params = SegreVeroneseParams(n, m, d)
         for q in range(1, q_max + 1):
-            s = (n + 1) * q
-            if CHECK_DICTIONARY in checks:
-                cell_cfg = replace(cfg, seed=derived_seed(cfg.seed, n, m, d, q))
-                dictionary = verify_dictionary(params, s, cell_cfg)
-                if not dictionary.equal:
-                    failures.append(
-                        _failure(
-                            CHECK_DICTIONARY,
-                            params,
-                            q,
-                            None,
-                            cfg,
-                            lhs=dictionary.lhs,
-                            rhs=dictionary.rhs,
-                        )
-                    )
+            failures += _run_checks(_Case(params, q, None, cfg), per_q)
             for t in range(0, t_max + 1):
                 cells += 1
-                expected = expected_scheme_dim(params, q, t)
-                if CHECK_FORMULA in checks:
-                    best = None
-                    for trial in range(cfg.trials):
-                        rng = derived_rng(
-                            cfg.seed, n, m, d, q, t, _TAG_FORMULA, trial
-                        )
-                        spec = sample_scheme(
-                            params, s, t, rng, cfg.field.modulus
-                        )
-                        dim = scheme_ideal_dimension(spec, d + 1, cfg.field)
-                        best = dim if best is None else min(best, dim)
-                    if best != expected:
-                        failures.append(
-                            _failure(
-                                CHECK_FORMULA,
-                                params,
-                                q,
-                                t,
-                                cfg,
-                                expected=expected,
-                                computed=best,
-                            )
-                        )
-                proof_checks = {
-                    CHECK_BASE_LOCUS,
-                    CHECK_CASTELNUOVO,
-                    CHECK_PROJECTION,
-                } & set(checks)
-                if not proof_checks:
-                    continue
-                rng = derived_rng(cfg.seed, n, m, d, q, t, _TAG_PROOF)
-                spec = sample_scheme(
-                    params, s, t, rng, cfg.field.modulus, specialize=True
-                )
-                spanned = add_v_spans(spec)
-                if CHECK_BASE_LOCUS in checks:
-                    before = scheme_ideal_dimension(spec, d + 1, cfg.field)
-                    after = scheme_ideal_dimension(spanned, d + 1, cfg.field)
-                    if before != after:
-                        failures.append(
-                            _failure(
-                                CHECK_BASE_LOCUS,
-                                params,
-                                q,
-                                t,
-                                cfg,
-                                before=before,
-                                after=after,
-                                scheme=scheme_to_dict(spec),
-                            )
-                        )
-                if CHECK_CASTELNUOVO in checks:
-                    split = castelnuovo_check(spanned, d + 1, cfg.field)
-                    if not split.holds:
-                        failures.append(
-                            _failure(
-                                CHECK_CASTELNUOVO,
-                                params,
-                                q,
-                                t,
-                                cfg,
-                                total=split.total,
-                                residual=split.residual,
-                                trace=split.trace,
-                                scheme=scheme_to_dict(spanned),
-                            )
-                        )
-                if CHECK_PROJECTION in checks:
-                    pair = residual_trace(spanned, d + 1)
-                    proj = project_from_h1(pair.residual, cfg.field)
-                    if not proj.equal:
-                        failures.append(
-                            _failure(
-                                CHECK_PROJECTION,
-                                params,
-                                q,
-                                t,
-                                cfg,
-                                residual_dim=proj.residual_dim,
-                                projected_dim=proj.projected_dim,
-                                scheme=scheme_to_dict(pair.residual),
-                            )
-                        )
+                failures += _run_checks(_Case(params, q, t, cfg), per_t)
     return VerifySummary(cells, tuple(failures))
+
+
+@dataclass(frozen=True)
+class _Case:
+    """One configuration of the theorem suite: s = (n+1)q double points and
+    t spans; t is None for the checks run once per q."""
+
+    params: SegreVeroneseParams
+    q: int
+    t: int | None
+    cfg: SampleConfig
+
+    @property
+    def s(self) -> int:
+        return (self.params.n + 1) * self.q
+
+    @property
+    def key(self) -> tuple[int, ...]:
+        """The stream key path of this case's draws."""
+        p = self.params
+        return (self.cfg.seed, p.n, p.m, p.d, self.q, self.t)
+
+    @cached_property
+    def scheme(self) -> SchemeSpec:
+        """The specialized configuration the proof checks share."""
+        rng = derived_rng(*self.key, _TAG_PROOF)
+        return sample_scheme(
+            self.params, self.s, self.t, rng, self.cfg.field.modulus, specialize=True
+        )
+
+    @cached_property
+    def spanned(self) -> SchemeSpec:
+        return add_v_spans(self.scheme)
+
+
+def _run_checks(case: _Case, names: Sequence[str]) -> list[dict]:
+    """Failure entries of the named checks on one case, in the given order."""
+    location = {"q": case.q, "t": case.t}
+    return [
+        _failure(name, case.params, case.cfg, location, detail)
+        for name in names
+        if (detail := _CHECKS[name](case)) is not None
+    ]
+
+
+def _check_dictionary(case: _Case) -> dict | None:
+    p, cfg = case.params, case.cfg
+    cell_cfg = replace(cfg, seed=derived_seed(cfg.seed, p.n, p.m, p.d, case.q))
+    return _dictionary_detail(verify_dictionary(p, case.s, cell_cfg))
+
+
+def _dictionary_detail(check: DictionaryCheck) -> dict | None:
+    return None if check.equal else {"lhs": check.lhs, "rhs": check.rhs}
+
+
+def _check_formula(case: _Case) -> dict | None:
+    expected = expected_scheme_dim(case.params, case.q, case.t)
+    best = best_scheme_dimension(
+        case.params, case.s, case.t, case.cfg, (*case.key, _TAG_FORMULA)
+    )
+    if best == expected:
+        return None
+    return {"expected": expected, "computed": best}
+
+
+def _check_base_locus(case: _Case) -> dict | None:
+    degree, field = case.params.d + 1, case.cfg.field
+    before = scheme_ideal_dimension(case.scheme, degree, field)
+    after = scheme_ideal_dimension(case.spanned, degree, field)
+    if before == after:
+        return None
+    return {"before": before, "after": after, "scheme": scheme_to_dict(case.scheme)}
+
+
+def _check_castelnuovo(case: _Case) -> dict | None:
+    split = castelnuovo_check(case.spanned, case.params.d + 1, case.cfg.field)
+    if split.holds:
+        return None
+    return {
+        "total": split.total,
+        "residual": split.residual,
+        "trace": split.trace,
+        "scheme": scheme_to_dict(case.spanned),
+    }
+
+
+def _check_projection(case: _Case) -> dict | None:
+    pair = residual_trace(case.spanned, case.params.d + 1)
+    proj = project_from_h1(pair.residual, case.cfg.field)
+    if proj.equal:
+        return None
+    return {
+        "residual_dim": proj.residual_dim,
+        "projected_dim": proj.projected_dim,
+        "scheme": scheme_to_dict(pair.residual),
+    }
+
+
+_CHECKS = {
+    CHECK_FORMULA: _check_formula,
+    CHECK_DICTIONARY: _check_dictionary,
+    CHECK_BASE_LOCUS: _check_base_locus,
+    CHECK_CASTELNUOVO: _check_castelnuovo,
+    CHECK_PROJECTION: _check_projection,
+}
 
 
 def _failure(
     check: str,
     params: SegreVeroneseParams,
-    q: int,
-    t: int | None,
     cfg: SampleConfig,
-    **detail,
+    location: dict,
+    detail: dict | None = None,
 ) -> dict:
-    entry = {
+    """A failure entry: the check, the cell and location, the sampling
+    metadata, then the check's detail."""
+    return {
         "check": check,
         "n": params.n,
         "m": params.m,
         "d": params.d,
-        "q": q,
-        "t": t,
+        **location,
         "seed": cfg.seed,
         "trials": cfg.trials,
         "modulus": cfg.field.modulus,
+        **(detail or {}),
     }
-    entry.update(detail)
-    return entry
 
 
 def grassmann_verdict(record: SecantRecord) -> str:
@@ -454,23 +449,7 @@ def grassmann_verdict(record: SecantRecord) -> str:
 
 
 def record_to_dict(record: SecantRecord) -> dict:
-    return {
-        "n": record.n,
-        "m": record.m,
-        "d": record.d,
-        "s": record.s,
-        "N": record.ambient,
-        "expected": record.expected,
-        "computed": record.computed,
-        "defect": record.defect,
-        "s1": record.s1,
-        "s2": record.s2,
-        "inTheoremRange": record.in_theorem_range,
-        "status": record.status,
-        "seed": record.seed,
-        "trials": record.trials,
-        "modulus": record.modulus,
-    }
+    return {key: getattr(record, attr) for key, attr in zip(RECORD_FIELDS, _ATTRS)}
 
 
 def records_to_json(records: Sequence[SecantRecord]) -> str:
@@ -486,8 +465,7 @@ def _csv_value(value) -> str:
 def records_to_csv(records: Sequence[SecantRecord]) -> str:
     lines = [",".join(RECORD_FIELDS)]
     for record in records:
-        data = record_to_dict(record)
-        lines.append(",".join(_csv_value(data[f]) for f in RECORD_FIELDS))
+        lines.append(",".join(_csv_value(v) for v in record_to_dict(record).values()))
     return "\n".join(lines) + "\n"
 
 

@@ -395,6 +395,30 @@ def sample_scheme(
     )
 
 
+def best_scheme_dimension(
+    params: SegreVeroneseParams,
+    s: int,
+    t: int,
+    cfg: SampleConfig,
+    key: tuple[int, ...],
+) -> int:
+    """Smallest degree-(d+1) dimension of the flag configuration with s
+    double points and t spans over cfg.trials draws.
+
+    Trial k draws from derived_rng(*key, k). A special draw can only raise
+    the dimension, so the minimum is the generic value once any draw is
+    generic.
+    """
+    return min(
+        scheme_ideal_dimension(
+            sample_scheme(params, s, t, derived_rng(*key, trial), cfg.field.modulus),
+            params.d + 1,
+            cfg.field,
+        )
+        for trial in range(cfg.trials)
+    )
+
+
 @dataclass(frozen=True)
 class DictionaryCheck:
     """Both sides of the multigraded / single-graded correspondence."""
@@ -419,12 +443,7 @@ def verify_dictionary(
     """
     if lhs is None:
         lhs = ideal_dim_bidegree(params, s, cfg)
-    rhs = None
-    for trial in range(cfg.trials):
-        rng = derived_rng(cfg.seed, _DICTIONARY_TAG, trial)
-        spec = sample_scheme(params, s, 0, rng, cfg.field.modulus)
-        dim = scheme_ideal_dimension(spec, params.d + 1, cfg.field)
-        rhs = dim if rhs is None else min(rhs, dim)
+    rhs = best_scheme_dimension(params, s, 0, cfg, (cfg.seed, _DICTIONARY_TAG))
     return DictionaryCheck(lhs, rhs)
 
 

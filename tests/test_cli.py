@@ -121,6 +121,11 @@ def test_exact_backend_agrees_with_modular():
         ("scan", "--grid", "(1,2,3)", "--prime", "91"),
         ("dim", "1", "2", "9", "2", "--prime", "7"),
         ("scan", "--grid", "(1,2,3)", "--s-policy", "explicit"),
+        ("scan", "--grid", "(1,2,3),(2,x,3)"),
+        ("scan", "--grid", "(1,2,3) junk"),
+        ("scan", "--grid", "(1,2,3)", "--s-list", "2,3"),
+        ("verify", "theorem", "--grid", "(1,2,3)", "--q-max", "-1"),
+        ("verify", "theorem", "--grid", "(1,2,3)", "--t-max", "-3"),
     ],
 )
 def test_invalid_inputs_exit_two(args):
@@ -192,3 +197,28 @@ def test_oversized_scheme_exits_two_before_building_rows():
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert "entry limit" in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "grid, unparsed",
+    [
+        ("(1,2,3),(2,x,3)", "(1,2,3),(2,x,3)"),
+        ("(1,2,3) junk", "(1,2,3) junk"),
+        ("(1,2,3); (2,1,3);", ""),
+    ],
+)
+def test_grid_error_quotes_the_unparsed_text(capsys, grid, unparsed):
+    assert main(["scan", "--grid", grid]) == 2
+    assert repr(unparsed) in capsys.readouterr().err
+
+
+def test_grid_cells_allow_whitespace_around_separators(capsys):
+    spaced = _main_json(capsys, "scan", "--grid", " (1, 2, 3) ; (2,1,3) ")
+    assert spaced == _main_json(capsys, "scan", "--grid", "(1,2,3);(2,1,3)")
+
+
+def test_unwritable_output_exits_two(tmp_path, capsys):
+    assert main(["thresholds", "1", "2", "3", "--output", str(tmp_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("secantdim: cannot write")

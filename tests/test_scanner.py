@@ -118,6 +118,12 @@ def test_scan_cell_defect_survives_exact_backend():
     assert rec.defect == 1
 
 
+def test_scan_cell_rejects_a_rank_above_the_parameter_count():
+    # (1, 2, 3) at s = 2 expects dimension 7, so a rank of 9 cannot occur
+    with pytest.raises(ValueError, match="exceeds"):
+        scan_cell(SegreVeroneseParams(1, 2, 3), 2, CFG, best_rank=9)
+
+
 def test_scan_cell_low_degree_certified_is_flagged():
     rec = scan_cell(SegreVeroneseParams(1, 2, 2), 2, SampleConfig(seed=0, trials=1))
     assert rec.defect == 0
@@ -141,6 +147,22 @@ def test_grid_validation():
         ScanGrid(
             n_values=(1,), m_values=(1,), d_values=(3,), s_policy="explicit"
         )
+
+
+@pytest.mark.parametrize("s_policy", ["theorem-range", "all-up-to"])
+def test_grid_rejects_s_list_outside_explicit_policy(s_policy):
+    with pytest.raises(ValueError, match="s_list"):
+        ScanGrid(
+            n_values=(1,), m_values=(1,), d_values=(3,), s_policy=s_policy,
+            s_list=(2, 3),
+        )
+
+
+@pytest.mark.parametrize("q_max, t_max", [(0, 1), (-1, 1), (1, -1), (1, -3)])
+def test_verify_theorem_suite_rejects_empty_ranges(q_max, t_max):
+    grid = ScanGrid(n_values=(1,), m_values=(2,), d_values=(3,))
+    with pytest.raises(ValueError, match="q_max"):
+        verify_theorem_suite(grid, CFG, q_max=q_max, t_max=t_max)
 
 
 def test_reports_are_reproducible_bytes():
