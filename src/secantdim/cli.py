@@ -146,7 +146,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _parse_grids(args: argparse.Namespace) -> list[ScanGrid]:
     """One single-cell grid per listed --grid cell, deduplicated and in
-    lexicographic order, or the one range grid."""
+    lexicographic order, or the one range grid. scan takes its s policy from
+    the flags; verify walks the theorem range."""
     if args.command == "scan":
         s_list = (
             tuple(int(x) for x in args.s_list.split(",")) if args.s_list else ()

@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -32,7 +33,7 @@ from secantdim.scanner import (
     verify_dictionary_grid,
     verify_theorem_suite,
 )
-from secantdim import terracini
+from secantdim import schemes, terracini
 from secantdim.terracini import SampleConfig, SegreVeroneseParams
 
 
@@ -307,8 +308,6 @@ def _forced_failures(monkeypatch) -> VerifySummary:
     residual plus the trace it splits into; it also moves with the frame
     and the spans, so a projection or an added base-locus span changes it.
     """
-    from secantdim import schemes
-
     real = schemes.scheme_ideal_dimension
 
     def offset(spec, degree, cfg):
@@ -332,8 +331,6 @@ def _forced_failures(monkeypatch) -> VerifySummary:
 
 
 def _secantdim_modules():
-    import sys
-
     return [
         module
         for name, module in sorted(sys.modules.items())
