@@ -16,6 +16,7 @@ from .expected import thresholds
 from .linalg import DEFAULT_MODULUS, EXACT_RATIONAL, MODULAR, FieldConfig
 from .scanner import (
     ALL_CHECKS,
+    ALL_UP_TO,
     CHECK_CASTELNUOVO,
     CHECK_PROJECTION,
     S_POLICIES,
@@ -112,7 +113,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_scan.add_argument(
         "--s-margin",
         type=int,
-        default=1,
+        default=None,
         help="extra s past s2 (all-up-to only)",
     )
     p_scan.add_argument(
@@ -130,13 +131,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument(
         "--q-max",
         type=int,
-        default=2,
+        default=None,
         help="largest q, s = (n+1)q, at least 1 (theorem and castelnuovo only)",
     )
     p_ver.add_argument(
         "--t-max",
         type=int,
-        default=2,
+        default=None,
         help="largest span count t, at least 0 (theorem and castelnuovo only)",
     )
     _add_common_flags(p_ver)
@@ -149,11 +150,21 @@ def _parse_grids(args: argparse.Namespace) -> list[ScanGrid]:
     lexicographic order, or the one range grid. scan takes its s policy from
     the flags; verify walks the theorem range."""
     if args.command == "scan":
+        if args.s_margin is not None and args.s_policy != ALL_UP_TO:
+            raise ValueError(f"--s-margin needs --s-policy {ALL_UP_TO}")
         s_list = (
             tuple(int(x) for x in args.s_list.split(",")) if args.s_list else ()
         )
-        policy = (args.s_policy, args.s_margin, s_list)
+        margin = 1 if args.s_margin is None else args.s_margin
+        policy = (args.s_policy, margin, s_list)
     else:
+        if args.target == "dictionary" and (
+            args.q_max is not None or args.t_max is not None
+        ):
+            raise ValueError(
+                "--q-max and --t-max apply only to verify theorem and "
+                "verify castelnuovo"
+            )
         policy = (THEOREM_RANGE, 1, ())
     if args.grid is None:
         return [
@@ -224,16 +235,20 @@ def main(argv: list[str] | None = None) -> int:
             render = records_to_json if args.format == "json" else records_to_csv
             _emit(render(records), args.output)
             return 0
-        # verify
+        # verify; an unset --q-max or --t-max keeps the suite's default
+        ranges = {
+            name: value
+            for name, value in (("q_max", args.q_max), ("t_max", args.t_max))
+            if value is not None
+        }
         parts = [
             verify_dictionary_grid(grid, cfg)
             if args.target == "dictionary"
             else verify_theorem_suite(
                 grid,
                 cfg,
-                q_max=args.q_max,
-                t_max=args.t_max,
                 checks=_SUITE_CHECKS[args.target],
+                **ranges,
             )
             for grid in grids
         ]

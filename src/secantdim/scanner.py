@@ -22,12 +22,14 @@ from typing import Iterator, Sequence
 
 from .expected import defect, expected_scheme_dim, thresholds
 from .schemes import (
+    CastelnuovoCheck,
     DictionaryCheck,
+    ProjectionCheck,
+    ResidualTracePair,
     SchemeSpec,
     add_v_spans,
     best_scheme_dimension,
-    castelnuovo_check,
-    project_from_h1,
+    projected_scheme,
     residual_trace,
     sample_scheme,
     scheme_ideal_dimension,
@@ -336,6 +338,25 @@ class _Case:
     def spanned(self) -> SchemeSpec:
         return add_v_spans(self.scheme)
 
+    @cached_property
+    def split(self) -> ResidualTracePair:
+        """The spanned configuration split across the hyperplane."""
+        return residual_trace(self.spanned, self.params.d + 1)
+
+    @cached_property
+    def _dimensions(self) -> dict[tuple[SchemeSpec, int], int]:
+        return {}
+
+    def dimension(self, spec: SchemeSpec, degree: int) -> int:
+        """scheme_ideal_dimension, computed once per (spec, degree) of this
+        case; the memo lives and dies with the case."""
+        key = (spec, degree)
+        if key not in self._dimensions:
+            self._dimensions[key] = scheme_ideal_dimension(
+                spec, degree, self.cfg.field
+            )
+        return self._dimensions[key]
+
 
 def _run_checks(case: _Case, names: Sequence[str]) -> list[dict]:
     """Failure entries of the named checks on one case, in the given order."""
@@ -368,35 +389,45 @@ def _check_formula(case: _Case) -> dict | None:
 
 
 def _check_base_locus(case: _Case) -> dict | None:
-    degree, field = case.params.d + 1, case.cfg.field
-    before = scheme_ideal_dimension(case.scheme, degree, field)
-    after = scheme_ideal_dimension(case.spanned, degree, field)
+    degree = case.params.d + 1
+    before = case.dimension(case.scheme, degree)
+    after = case.dimension(case.spanned, degree)
     if before == after:
         return None
     return {"before": before, "after": after, "scheme": scheme_to_dict(case.scheme)}
 
 
 def _check_castelnuovo(case: _Case) -> dict | None:
-    split = castelnuovo_check(case.spanned, case.params.d + 1, case.cfg.field)
-    if split.holds:
+    split = case.split
+    check = CastelnuovoCheck(
+        case.dimension(case.spanned, case.params.d + 1),
+        case.dimension(split.residual, split.residual_degree),
+        case.dimension(split.trace, split.trace_degree),
+    )
+    if check.holds:
         return None
     return {
-        "total": split.total,
-        "residual": split.residual,
-        "trace": split.trace,
+        "total": check.total,
+        "residual": check.residual,
+        "trace": check.trace,
         "scheme": scheme_to_dict(case.spanned),
     }
 
 
 def _check_projection(case: _Case) -> dict | None:
-    pair = residual_trace(case.spanned, case.params.d + 1)
-    proj = project_from_h1(pair.residual, case.cfg.field)
-    if proj.equal:
+    residual = case.split.residual
+    projected = projected_scheme(residual)
+    check = ProjectionCheck(
+        projected,
+        case.dimension(residual, residual.d),
+        case.dimension(projected, residual.d),
+    )
+    if check.equal:
         return None
     return {
-        "residual_dim": proj.residual_dim,
-        "projected_dim": proj.projected_dim,
-        "scheme": scheme_to_dict(pair.residual),
+        "residual_dim": check.residual_dim,
+        "projected_dim": check.projected_dim,
+        "scheme": scheme_to_dict(residual),
     }
 
 

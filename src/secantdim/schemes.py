@@ -186,24 +186,55 @@ def restricted_basis(n: int, m: int, d: int) -> tuple[ExponentVector, ...]:
 
 
 def scheme_basis(spec: SchemeSpec, degree: int) -> tuple[ExponentVector, ...]:
-    """Monomial basis of the degree piece cut down by the flag components."""
+    """Monomial basis of the degree piece cut down by the flag components.
+
+    The basis depends only on the frame, the flag and the degree, so it is
+    built once per such key (a small cache) and shared by every caller.
+    """
     if degree < 0:
         raise ValueError("degree must be non-negative")
-    if (
-        spec.n >= 1
-        and spec.include_h2
-        and spec.fat_h1 == spec.d
-        and degree == spec.d + 1
-    ):
-        return restricted_basis(spec.n, spec.m, spec.d)
+    return _flag_basis(
+        spec.n, spec.m, spec.d, spec.fat_h1, spec.include_h2, degree
+    )
+
+
+@lru_cache(maxsize=32)
+def _flag_basis(
+    n: int, m: int, d: int, fat_h1: int, include_h2: bool, degree: int
+) -> tuple[ExponentVector, ...]:
+    if n >= 1 and include_h2 and fat_h1 == d and degree == d + 1:
+        return restricted_basis(n, m, d)
     keep: list[ExponentVector] = []
-    for mono in graded_basis(spec.n + spec.m + 1, degree).monomials:
-        if sum(mono[spec.n :]) < spec.fat_h1:
+    for mono in graded_basis(n + m + 1, degree).monomials:
+        if sum(mono[n:]) < fat_h1:
             continue
-        if spec.include_h2 and not (any(mono[: spec.n]) or mono[spec.n] > 0):
+        if include_h2 and not (any(mono[:n]) or mono[n] > 0):
             continue
         keep.append(mono)
     return tuple(keep)
+
+
+def scheme_basis_size(spec: SchemeSpec, degree: int) -> int:
+    """len(scheme_basis(spec, degree)), counted without enumerating it.
+
+    The flag keeps the monomials of b-degree k >= fat_h1, an a-part of
+    degree - k times a b-part of degree k; H2 then drops the pure-b
+    monomials free of b_0, the degree-many monomials in b_1..b_m.
+    """
+    if degree < 0:
+        raise ValueError("degree must be non-negative")
+    size = sum(
+        _monomial_count(spec.n, degree - k) * _monomial_count(spec.m + 1, k)
+        for k in range(spec.fat_h1, degree + 1)
+    )
+    if spec.include_h2 and degree >= spec.fat_h1:
+        size -= _monomial_count(spec.m, degree)
+    return size
+
+
+def _monomial_count(nvars: int, degree: int) -> int:
+    """Number of degree-`degree` monomials in nvars variables (nvars >= 0)."""
+    return comb(nvars - 1 + degree, degree) if nvars else int(degree == 0)
 
 
 @dataclass(frozen=True)
@@ -322,14 +353,15 @@ def scheme_ideal_dimension(
 ) -> int:
     """Exact dimension of the degree piece of the configuration's ideal."""
     require_headroom(cfg, degree)
-    basis = scheme_basis(spec, degree)
-    if not basis:
+    size = scheme_basis_size(spec, degree)
+    if not size:
         return 0
     check_size(
         _row_bound(spec, degree),
-        len(basis),
+        size,
         f"the degree-{degree} piece of a scheme at {(spec.n, spec.m, spec.d)}",
     )
+    basis = scheme_basis(spec, degree)
     rows: list[list[int]] = []
     # a double point imposes every first partial; by Euler its value row is
     # a combination of them, since the modulus exceeds the degree
@@ -407,16 +439,21 @@ def best_scheme_dimension(
 
     Trial k draws from derived_rng(*key, k). A special draw can only raise
     the dimension, so the minimum is the generic value once any draw is
-    generic.
+    generic. No draw can go below the basis size less the most rows the
+    configuration imposes (a rank never exceeds the row count), so the
+    trials stop once the minimum reaches that floor.
     """
-    return min(
-        scheme_ideal_dimension(
-            sample_scheme(params, s, t, derived_rng(*key, trial), cfg.field.modulus),
-            params.d + 1,
-            cfg.field,
+    degree = params.d + 1
+    dims = []
+    for trial in range(cfg.trials):
+        spec = sample_scheme(
+            params, s, t, derived_rng(*key, trial), cfg.field.modulus
         )
-        for trial in range(cfg.trials)
-    )
+        dims.append(scheme_ideal_dimension(spec, degree, cfg.field))
+        floor = scheme_basis_size(spec, degree) - _row_bound(spec, degree)
+        if min(dims) <= max(floor, 0):
+            break
+    return min(dims)
 
 
 @dataclass(frozen=True)
@@ -633,15 +670,14 @@ class ProjectionCheck:
         return self.residual_dim == self.projected_dim
 
 
-def project_from_h1(residual: SchemeSpec, cfg: FieldConfig) -> ProjectionCheck:
+def projected_scheme(residual: SchemeSpec) -> SchemeSpec:
     """Project a cone-shaped residual from H1 onto P^m.
 
     Valid when every degree-d form through the configuration is a cone with
     vertex H1 (flag at full multiplicity, no H2 component): the basis is
     then pure in the b variables. Double points map to double points of
     P^m; simple points and span anchors map to simple points, with
-    duplicates and points absorbed by a double image dropped. The degree-d
-    dimensions on both sides must agree.
+    duplicates and points absorbed by a double image dropped.
     """
     if residual.n < 1 or residual.fat_h1 != residual.d or residual.include_h2:
         raise ValueError("configuration is not a cone over H1 in degree d")
@@ -664,13 +700,19 @@ def project_from_h1(residual: SchemeSpec, cfg: FieldConfig) -> ProjectionCheck:
         if image not in seen:
             seen.add(image)
             simples.append(image)
-    projected = SchemeSpec(
+    return SchemeSpec(
         n=0,
         m=residual.m,
         d=residual.d,
         double_points=tuple(doubles),
         simple_points=tuple(simples),
     )
+
+
+def project_from_h1(residual: SchemeSpec, cfg: FieldConfig) -> ProjectionCheck:
+    """The residual and its projection onto P^m, whose degree-d dimensions
+    must agree."""
+    projected = projected_scheme(residual)
     return ProjectionCheck(
         projected,
         scheme_ideal_dimension(residual, residual.d, cfg),

@@ -7,6 +7,7 @@ import sys
 
 import pytest
 
+from secantdim import schemes
 from secantdim.cli import main
 
 CMD = [sys.executable, "-m", "secantdim"]
@@ -126,6 +127,13 @@ def test_exact_backend_agrees_with_modular():
         ("scan", "--grid", "(1,2,3)", "--s-list", "2,3"),
         ("verify", "theorem", "--grid", "(1,2,3)", "--q-max", "-1"),
         ("verify", "theorem", "--grid", "(1,2,3)", "--t-max", "-3"),
+        ("scan", "--grid", "(1,1,3)", "--s-margin", "5"),
+        ("scan", "--grid", "(1,1,3)", "--s-policy", "explicit",
+         "--s-list", "2", "--s-margin", "1"),
+        ("verify", "dictionary", "--grid", "(1,1,3)",
+         "--q-max", "-1", "--t-max", "-3"),
+        ("verify", "dictionary", "--grid", "(1,1,3)", "--q-max", "2"),
+        ("verify", "dictionary", "--grid", "(1,1,3)", "--t-max", "2"),
     ],
 )
 def test_invalid_inputs_exit_two(args):
@@ -197,6 +205,34 @@ def test_oversized_scheme_exits_two_before_building_rows():
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert "entry limit" in proc.stderr
+
+
+def test_oversized_scheme_is_refused_before_its_basis_is_built(
+    monkeypatch, capsys
+):
+    # the size check counts the 739024 basis monomials in closed form, so
+    # no monomial may be enumerated on the way to the refusal
+    def enumerate_basis(*args):
+        raise AssertionError("basis enumerated before the size check")
+
+    monkeypatch.setattr(schemes, "graded_basis", enumerate_basis)
+    args = ["verify", "castelnuovo", "--grid", "(3,10,10)", "--q-max", "1",
+            "--t-max", "0"]
+    assert main(args) == 2
+    assert "72 x 739024" in capsys.readouterr().err
+
+
+def test_s_margin_applies_to_all_up_to(capsys):
+    wide = _main_json(
+        capsys, "scan", "--grid", "(1,1,3)", "--s-policy", "all-up-to",
+        "--s-margin", "3",
+    )
+    default = _main_json(
+        capsys, "scan", "--grid", "(1,1,3)", "--s-policy", "all-up-to"
+    )
+    # the default margin is 1, so a margin of 3 adds two more s
+    assert [r["s"] for r in wide] == list(range(1, len(default) + 3))
+    assert wide[: len(default)] == default
 
 
 @pytest.mark.parametrize(

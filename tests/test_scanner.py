@@ -33,7 +33,7 @@ from secantdim.scanner import (
     verify_dictionary_grid,
     verify_theorem_suite,
 )
-from secantdim import schemes, terracini
+from secantdim import scanner, schemes, terracini
 from secantdim.terracini import SampleConfig, SegreVeroneseParams
 
 
@@ -355,3 +355,42 @@ def test_failure_reports_match_the_golden_bytes(monkeypatch):
     csv_bytes = FAILURES_FIXTURE.with_suffix(".csv").read_bytes()
     assert summary_to_json(summary).encode("utf-8") == json_bytes
     assert summary_to_csv(summary).encode("utf-8") == csv_bytes
+
+
+def test_verify_theorem_suite_computes_each_scheme_dimension_once(monkeypatch):
+    """Work pin: within one case no (spec, degree) is computed twice, and
+    best over trials stops at the first draw that reaches the row floor.
+
+    On (1, 1, 3) with q = 1 and t in {0, 1}, every draw is generic and
+    generic dimensions sit at the floor, so each best over trials takes one
+    draw. Per q, the dictionary's scheme side: 1. Per t: the formula 1,
+    the base locus 2 (scheme and spanned), Castelnuovo 2 (residual and
+    trace; its total is the spanned one), the projection 1 (projected; its
+    residual is Castelnuovo's): 6. In all 1 + 2 * 6 = 13.
+    """
+    real = schemes.scheme_ideal_dimension
+    real_run = scanner._run_checks
+    cases: list[list] = []
+
+    def counted(spec, degree, cfg):
+        cases[-1].append((spec, degree))
+        return real(spec, degree, cfg)
+
+    def run_case(case, names):
+        cases.append([])
+        return real_run(case, names)
+
+    for module in _secantdim_modules():
+        for name, value in list(vars(module).items()):
+            if value is real:
+                monkeypatch.setattr(module, name, counted)
+    monkeypatch.setattr(scanner, "_run_checks", run_case)
+    grid = ScanGrid(n_values=(1,), m_values=(1,), d_values=(3,))
+    summary = verify_theorem_suite(
+        grid, SampleConfig(seed=0, trials=2), q_max=1, t_max=1
+    )
+    assert summary.ok
+    assert [len(calls) for calls in cases] == [1, 6, 6]
+    for calls in cases:
+        assert len(set(calls)) == len(calls)
+    assert sum(len(calls) for calls in cases) == 13

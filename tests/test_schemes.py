@@ -7,18 +7,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from secantdim import schemes
 from secantdim.linalg import FieldConfig, matrix_from_rows, rank
 from secantdim.monomials import derivative_rows, evaluation_row, graded_basis
 from secantdim.schemes import (
     SchemePoint,
     SchemeSpec,
+    _row_bound,
     add_v_spans,
+    best_scheme_dimension,
     castelnuovo_check,
     project_from_h1,
+    projected_scheme,
     residual_trace,
     restricted_basis,
     sample_scheme,
     scheme_basis,
+    scheme_basis_size,
     scheme_from_dict,
     scheme_ideal_dimension,
     scheme_to_dict,
@@ -377,3 +382,122 @@ def test_precomputed_dictionary_lhs_is_used_as_given():
         params, 2, CFG
     )
     assert verify_dictionary(params, 2, CFG, lhs + 1).lhs == lhs + 1
+
+
+@st.composite
+def flag_specs(draw):
+    """A frame with or without the flag components, n = 0 included."""
+    n, m, d = draw(st.integers(0, 3)), draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    fat = draw(st.sampled_from((0, d))) if n else 0
+    spec = SchemeSpec(n=n, m=m, d=d, fat_h1=fat, include_h2=draw(st.booleans()))
+    return spec, draw(st.integers(0, d + 2))
+
+
+@settings(max_examples=200, deadline=None)
+@given(flag_specs())
+def test_scheme_basis_size_counts_the_basis(case):
+    spec, degree = case
+    assert scheme_basis_size(spec, degree) == len(scheme_basis(spec, degree))
+
+
+def test_scheme_basis_size_counts_the_restricted_basis():
+    for n, m, d in [(1, 2, 3), (2, 1, 3), (3, 10, 10)]:
+        spec = SchemeSpec(n=n, m=m, d=d, fat_h1=d, include_h2=True)
+        assert scheme_basis_size(spec, d + 1) == (n + 1) * comb(m + d, d)
+
+
+@st.composite
+def proof_configurations(draw):
+    """Every (spec, degree) the theorem suite computes for one case: the
+    plain and the specialized draw, the spanned one, both halves of its
+    split and the projected residual."""
+    n, m, d = draw(st.integers(1, 3)), draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    q, t = draw(st.integers(0, 2)), draw(st.integers(0, 2))
+    seed = draw(st.integers(0, 2**32))
+    params = SegreVeroneseParams(n, m, d)
+    s = (n + 1) * q
+    plain = sample_scheme(params, s, t, derived_rng(seed, 0), MOD.modulus)
+    special = sample_scheme(
+        params, s, t, derived_rng(seed, 1), MOD.modulus, specialize=True
+    )
+    spanned = add_v_spans(special)
+    split = residual_trace(spanned, d + 1)
+    return [
+        (plain, d + 1),
+        (special, d + 1),
+        (spanned, d + 1),
+        (split.residual, split.residual_degree),
+        (split.trace, split.trace_degree),
+        (projected_scheme(split.residual), d),
+    ]
+
+
+@settings(max_examples=60, deadline=None)
+@given(proof_configurations())
+def test_scheme_rows_never_exceed_the_row_bound(configurations):
+    built = []
+
+    def counted(rows, cols, cfg):
+        built.append(len(rows))
+        return matrix_from_rows(rows, cols, cfg)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(schemes, "matrix_from_rows", counted)
+        for spec, degree in configurations:
+            built.clear()
+            scheme_ideal_dimension(spec, degree, MOD)
+            assert sum(built) <= _row_bound(spec, degree)
+
+
+BEST_CASES = [
+    # (n, m, d, s, t); the last two stay above the floor at every draw
+    (1, 1, 3, 2, 1),
+    (1, 2, 3, 2, 1),
+    (2, 2, 3, 3, 0),
+    (1, 2, 3, 5, 0),
+    (2, 3, 2, 5, 0),
+]
+
+
+@pytest.mark.parametrize("modulus", [MOD.modulus, 7])
+@pytest.mark.parametrize("trials", [1, 2, 3, 4])
+@pytest.mark.parametrize("n, m, d, s, t", BEST_CASES)
+def test_best_scheme_dimension_is_the_min_over_all_trials(
+    n, m, d, s, t, trials, modulus
+):
+    # over GF(7) special draws are common, so the minimum often comes from
+    # a later trial than the first
+    params = SegreVeroneseParams(n, m, d)
+    field = FieldConfig(modulus=modulus)
+    cfg = SampleConfig(seed=3, trials=trials, field=field)
+    key = (cfg.seed, 17)
+    reference = min(
+        scheme_ideal_dimension(
+            sample_scheme(params, s, t, derived_rng(*key, k), modulus),
+            d + 1,
+            field,
+        )
+        for k in range(trials)
+    )
+    assert best_scheme_dimension(params, s, t, cfg, key) == reference
+
+
+def test_best_scheme_dimension_goes_on_while_above_the_floor(monkeypatch):
+    # trial 0 is pushed one above the generic value, which sits at the
+    # floor here; trial 1 reaches the floor again, so trials 2 and 3 are
+    # never drawn
+    params = SegreVeroneseParams(1, 2, 3)
+    real = schemes.scheme_ideal_dimension
+    calls = []
+
+    def raised_first(spec, degree, cfg):
+        calls.append(spec)
+        return real(spec, degree, cfg) + (len(calls) == 1)
+
+    monkeypatch.setattr(schemes, "scheme_ideal_dimension", raised_first)
+    cfg = SampleConfig(seed=3, trials=4)
+    best = best_scheme_dimension(params, 2, 1, cfg, (3, 17))
+    generic = real(calls[0], 4, MOD)
+    floor = scheme_basis_size(calls[0], 4) - _row_bound(calls[0], 4)
+    assert best == generic == floor
+    assert len(calls) == 2
