@@ -2,8 +2,10 @@
 
 import json
 import resource
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -258,3 +260,22 @@ def test_unwritable_output_exits_two(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("secantdim: cannot write")
+
+
+ESCALATION_GOLDEN = Path(__file__).resolve().parent / "fixtures" / "escalation.txt"
+
+# cells whose shortfalls at one trial are settled on escalation: special
+# draws over GF(11) in the scan, the (2, 3, 2) s = 5 defect over Q
+ESCALATION_COMMANDS = [
+    ("scan", "--grid", "(1,1,4);(3,2,4)", "--prime", "11", "--trials", "1"),
+    ("dim", "2", "3", "2", "5", "--backend", "exact", "--trials", "1"),
+]
+
+
+def test_escalated_reports_match_the_golden_bytes(capsys):
+    # the golden holds each command as a "$ secantdim ..." line, then its report
+    transcript = ""
+    for args in ESCALATION_COMMANDS:
+        assert main(list(args)) == 0
+        transcript += f"$ secantdim {shlex.join(args)}\n" + capsys.readouterr().out
+    assert transcript.encode("utf-8") == ESCALATION_GOLDEN.read_bytes()
