@@ -3,8 +3,10 @@
 The modular backend is the workhorse: scalars live in [0, p) with p < 2^31,
 so any product of two of them fits in a signed 64-bit intermediate and numpy
 row operations stay exact. The exact-rational backend trades speed for
-characteristic-zero certainty; it is the escalation path when a deficient
-modular rank needs confirmation.
+characteristic-zero certainty; it is the escalation step when a deficient
+modular rank needs confirmation. Every row builder evaluates integer
+polynomials at integer points, so its matrices have integer entries and a
+fraction-free elimination gives their rank over Q.
 
 Ranks are always taken at explicit points, so over GF(p) a computed rank can
 only undercount the generic characteristic-zero rank. "computed == expected"
@@ -13,14 +15,12 @@ therefore certifies; "computed < expected" is only a candidate.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd
-from typing import Sequence, Union
+from typing import Sequence
 
 import numpy as np
-
-Scalar = Union[int, Fraction]
 
 MODULAR = "modular"
 EXACT_RATIONAL = "exact-rational"
@@ -111,8 +111,8 @@ class FieldConfig:
         return out
 
     def array(self, values) -> np.ndarray:
-        """values (nested sequences of integers, or fractions over Q) as an
-        array of canonical scalars."""
+        """values (nested sequences of integers) as an array of canonical
+        scalars."""
         if not self.is_modular:
             return np.array(values, dtype=object)
         try:
@@ -151,8 +151,8 @@ def check_size(rows: int, cols: int, what: str) -> None:
 @dataclass(frozen=True, eq=False)
 class Matrix:
     """Immutable dense matrix held as one rows x cols array of canonical
-    entries: int64 residues for GF(p), Python integers or fractions (object
-    dtype) for Q."""
+    entries: int64 residues for GF(p), Python integers (object dtype) for
+    Q."""
 
     rows: int
     cols: int
@@ -169,7 +169,7 @@ class Matrix:
 
 
 def matrix_from_rows(
-    rows: Sequence[Sequence[Scalar]], cols: int, cfg: FieldConfig
+    rows: Sequence[Sequence[int]], cols: int, cfg: FieldConfig
 ) -> Matrix:
     """Assemble a Matrix, reducing every entry to canonical form."""
     entries = cfg.array(rows) if len(rows) else np.zeros((0, cols), cfg.dtype)
@@ -243,15 +243,6 @@ def _rank_modular(grid: np.ndarray, p: int) -> list[int]:
     return pivots
 
 
-def _scale_to_integers(row: Sequence[Scalar]) -> list[int]:
-    fracs = [Fraction(x) for x in row]
-    den = 1
-    for f in fracs:
-        den = den * f.denominator // gcd(den, f.denominator)
-    ints = [int(f * den) for f in fracs]
-    return _normalize(ints)
-
-
 def _normalize(row: list[int]) -> list[int]:
     g = 0
     for x in row:
@@ -261,10 +252,15 @@ def _normalize(row: list[int]) -> list[int]:
     return row
 
 
-def _rank_exact(rows: list[list[Scalar]]) -> list[int]:
+def _rank_exact(rows: list[list[int]]) -> list[int]:
     """Pivot columns of a fraction-free echelon form over the integers,
-    gcd-normalized each step."""
-    work = [_scale_to_integers(row) for row in rows]
+    gcd-normalized each step.
+
+    Entries become Python integers through operator.index, which refuses a
+    fraction rather than truncate it and turns a numpy integer, whose
+    fraction-free products would overflow, into an unbounded one.
+    """
+    work = [_normalize([operator.index(x) for x in row]) for row in rows]
     ncols = len(work[0]) if work else 0
     pivots: list[int] = []
     r = 0

@@ -9,8 +9,7 @@ flattened power table once (a small cache keyed by the basis); each point
 gets one power table of canonical scalars (int64 residues for GF(p), Python
 integers for Q). A value row is the product over the variables of one
 gather each, and the partial rows use the lowered exponents E - e_v scaled
-by E[:, v]. monomial_eval and partial_eval are the scalar reference the
-kernels are tested against.
+by E[:, v]. The tests check the kernels against a scalar reference.
 """
 
 from __future__ import annotations
@@ -75,34 +74,6 @@ def bihomogeneous_basis(n: int, m: int, a: int, b: int) -> BiBasis:
     ys = tuple(_exponent_vectors(m + 1, b))
     monos = tuple((xe, ye) for xe in xs for ye in ys)
     return BiBasis(n, m, a, b, monos)
-
-
-def monomial_eval(
-    mono: ExponentVector, point: Sequence[int], cfg: FieldConfig
-) -> int:
-    """Value of the monomial at the point; the scalar reference for the row
-    kernels below."""
-    if len(mono) != len(point):
-        raise ValueError("point length does not match the variable count")
-    value = 1
-    for coord, e in zip(point, mono):
-        value = cfg.reduce(value * cfg.reduce(int(coord)) ** e)
-    return value
-
-
-def partial_eval(
-    mono: ExponentVector, var: int, point: Sequence[int], cfg: FieldConfig
-) -> int:
-    """First partial derivative with respect to one variable, evaluated."""
-    if len(mono) != len(point):
-        raise ValueError("point length does not match the variable count")
-    if not 0 <= var < len(mono):
-        raise ValueError("variable index out of range")
-    e = mono[var]
-    if e == 0:
-        return 0
-    lowered = mono[:var] + (e - 1,) + mono[var + 1 :]
-    return cfg.reduce(e * monomial_eval(lowered, point, cfg))
 
 
 def frozen_array(array: np.ndarray) -> np.ndarray:

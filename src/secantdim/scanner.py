@@ -7,10 +7,11 @@ depend on traversal order, a single cell computed on its own equals its
 record in a scan, and identical inputs reproduce byte-identical reports.
 
 A cell whose computed dimension falls short of the expected one is escalated
-before being reported: trials are doubled, then the same draws are
-recomputed over the rationals. Only a shortfall that survives both is a
-defect candidate; certification never needs escalation because a modular
-rank cannot overshoot.
+before being reported, in one step: the row's draws are recomputed over the
+rationals at doubled trials. An integer matrix has at least its modular rank
+over Q, so this step settles everything a doubled modular run could, and
+only a shortfall that survives it is a defect candidate. Certification never
+needs escalation because a modular rank cannot overshoot.
 """
 
 from __future__ import annotations
@@ -188,12 +189,8 @@ def scan_cell(
     trials = cfg.trials
     if gap.defect:
         trials = cfg.trials * 2
-        computed = max(
-            computed, secant_dimension(params, s, replace(row_cfg, trials=trials))
-        )
-        if computed < gap.expected:
-            exact = replace(row_cfg, trials=trials, field=cfg.field.to_rational())
-            computed = max(computed, secant_dimension(params, s, exact))
+        exact = replace(row_cfg, trials=trials, field=cfg.field.to_rational())
+        computed = max(computed, secant_dimension(params, s, exact))
         gap = defect(params, s, computed)
     th = thresholds(params)
     in_range = params.d >= 3 and (s <= th.s1 or s >= th.s2)
@@ -460,23 +457,6 @@ def _failure(
         "modulus": cfg.field.modulus,
         **(detail or {}),
     }
-
-
-def grassmann_verdict(record: SecantRecord) -> str:
-    """Reads a scan record as a statement about Grassmann defectivity of a
-    Veronese variety: secants of the (1,d) embedding correspond to (n, s-1)
-    Grassmann secants of the d-uple Veronese of P^m."""
-    target = f"the {record.d}-uple Veronese of P^{record.m}"
-    pair = f"({record.n}, {record.s - 1})"
-    if record.defect == 0:
-        verdict = f"{target} is not {pair}-Grassmann defective"
-        if not record.in_theorem_range:
-            verdict += " at the sampled points (outside the certified range)"
-        return verdict
-    return (
-        f"candidate: {target} may be {pair}-Grassmann defective "
-        f"(defect {record.defect} at the sampled points)"
-    )
 
 
 def record_to_dict(record: SecantRecord) -> dict:

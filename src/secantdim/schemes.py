@@ -166,25 +166,6 @@ def scheme_from_dict(data: dict) -> SchemeSpec:
     )
 
 
-def restricted_basis(n: int, m: int, d: int) -> tuple[ExponentVector, ...]:
-    """Monomial basis of the degree-(d+1) forms through the flag dH1 + H2.
-
-    Vanishing to order d on H1 forces b-degree >= d, and through H2 forces
-    divisibility by some a_i or by b_0; what survives in degree d+1 is
-    a_i * (degree-d monomial in b) for each i, then b_0 * (degree-d
-    monomial in b). Exactly (n+1) * C(m+d, d) monomials, in that order.
-    """
-    if n < 1 or m < 1 or d < 1:
-        raise ValueError("need n, m, d >= 1")
-    ydeg = graded_basis(m + 1, d).monomials
-    out: list[ExponentVector] = []
-    for i in range(n):
-        prefix = (0,) * i + (1,) + (0,) * (n - 1 - i)
-        out.extend(prefix + beta for beta in ydeg)
-    out.extend((0,) * n + (beta[0] + 1,) + beta[1:] for beta in ydeg)
-    return tuple(out)
-
-
 def scheme_basis(spec: SchemeSpec, degree: int) -> tuple[ExponentVector, ...]:
     """Monomial basis of the degree piece cut down by the flag components.
 
@@ -202,8 +183,6 @@ def scheme_basis(spec: SchemeSpec, degree: int) -> tuple[ExponentVector, ...]:
 def _flag_basis(
     n: int, m: int, d: int, fat_h1: int, include_h2: bool, degree: int
 ) -> tuple[ExponentVector, ...]:
-    if n >= 1 and include_h2 and fat_h1 == d and degree == d + 1:
-        return restricted_basis(n, m, d)
     keep: list[ExponentVector] = []
     for mono in graded_basis(n + m + 1, degree).monomials:
         if sum(mono[n:]) < fat_h1:
@@ -319,20 +298,6 @@ def span_rows(
     present = np.zeros(terms.rows, dtype=bool)
     present[terms.row[coeffs != 0]] = True
     return rows[present].tolist()
-
-
-def w_space_rows(
-    n: int, m: int, d: int, anchor: Sequence[int], cfg: FieldConfig
-) -> list[list[int]]:
-    """The n+1 conditions a span through H1 imposes on the restricted basis.
-
-    On the flag basis the chart expansion collapses to n rows indexed by the
-    mu variables (the anchor's b-powers against each a_i block) plus one
-    evaluation row at the anchor itself.
-    """
-    rows = span_rows(restricted_basis(n, m, d), n, anchor, cfg)
-    assert len(rows) == n + 1
-    return rows
 
 
 def _row_bound(spec: SchemeSpec, degree: int) -> int:

@@ -1,6 +1,7 @@
 """Exact rank kernel: frozen values and algebraic invariances."""
 
 from bisect import bisect_left
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -141,16 +142,11 @@ def test_rank_profile_gives_every_prefix_rank(matrix):
             assert bisect_left(profile, k) == rank(prefix, cfg)
 
 
-def test_exact_backend_handles_fractions():
-    from fractions import Fraction
-
-    rows = [
-        [Fraction(1, 2), Fraction(1, 3)],
-        [Fraction(1, 4), Fraction(1, 1)],
-    ]
-    assert rank(matrix_from_rows(rows, 2, RAT), RAT) == 2
-    dependent = [[Fraction(1, 2), Fraction(1, 4)], [Fraction(2, 3), Fraction(1, 3)]]
-    assert rank(matrix_from_rows(dependent, 2, RAT), RAT) == 1
+def test_exact_rank_refuses_a_fraction():
+    # exact elimination takes integer matrices only; int() would truncate
+    rows = [[Fraction(1, 2), 1], [1, 1]]
+    with pytest.raises(TypeError):
+        rank(matrix_from_rows(rows, 2, RAT), RAT)
 
 
 def test_field_config_validation():

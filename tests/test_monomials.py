@@ -12,12 +12,34 @@ from secantdim.monomials import (
     derivative_rows,
     evaluation_row,
     graded_basis,
-    monomial_eval,
-    partial_eval,
 )
 
 MOD = FieldConfig()
 RAT = FieldConfig(backend=EXACT_RATIONAL)
+
+
+def monomial_eval(mono, point, cfg):
+    """Value of the monomial at the point; the scalar reference for the row
+    kernels."""
+    if len(mono) != len(point):
+        raise ValueError("point length does not match the variable count")
+    value = 1
+    for coord, e in zip(point, mono):
+        value = cfg.reduce(value * cfg.reduce(int(coord)) ** e)
+    return value
+
+
+def partial_eval(mono, var, point, cfg):
+    """First partial derivative with respect to one variable, evaluated."""
+    if len(mono) != len(point):
+        raise ValueError("point length does not match the variable count")
+    if not 0 <= var < len(mono):
+        raise ValueError("variable index out of range")
+    e = mono[var]
+    if e == 0:
+        return 0
+    lowered = mono[:var] + (e - 1,) + mono[var + 1 :]
+    return cfg.reduce(e * monomial_eval(lowered, point, cfg))
 
 
 def test_bihomogeneous_counts():

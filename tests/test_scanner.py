@@ -22,7 +22,6 @@ from secantdim.scanner import (
     STATUS_OUT_CERTIFIED,
     ScanGrid,
     VerifySummary,
-    grassmann_verdict,
     grid_from_ranges,
     records_to_csv,
     records_to_json,
@@ -108,9 +107,31 @@ def test_scan_cell_escalates_real_defect():
     rec = scan_cell(SegreVeroneseParams(2, 3, 2), 5, SampleConfig(seed=0, trials=1))
     assert rec.status == STATUS_OUT_CANDIDATE
     assert (rec.expected, rec.computed, rec.defect) == (29, 28, 1)
-    # shortfall was retried with doubled trials before being reported
+    # the shortfall was recomputed over Q at doubled trials before being
+    # reported
     assert rec.trials == 2
     assert not rec.in_theorem_range
+
+
+def test_scan_cell_escalates_in_one_exact_step(monkeypatch):
+    real = scanner.secant_dimension
+    calls = []
+
+    def counted(params, s, cfg):
+        calls.append(cfg)
+        return real(params, s, cfg)
+
+    monkeypatch.setattr(scanner, "secant_dimension", counted)
+    params = SegreVeroneseParams(2, 3, 2)
+    cfg = SampleConfig(seed=0, trials=2)
+    rec = scan_cell(params, 5, cfg, best_rank=29)
+    assert rec.defect == 1
+    assert len(calls) == 1
+    assert not calls[0].field.is_modular
+    assert calls[0].field.modulus == cfg.field.modulus
+    assert calls[0].trials == rec.trials == 4
+    # the escalation recomputes the row's own draws
+    assert calls[0].seed == scanner._row_config(params, cfg).seed
 
 
 def test_scan_cell_defect_survives_exact_backend():
@@ -190,32 +211,6 @@ def test_csv_report_shape():
     assert rows[0] == list(RECORD_FIELDS)
     assert len(rows) == len(records) + 1
     assert rows[1][RECORD_FIELDS.index("inTheoremRange")] in ("true", "false")
-
-
-def test_grassmann_verdict_strings():
-    records = scan(ScanGrid(n_values=(1,), m_values=(2,), d_values=(3,)), CFG)
-    by_s = {r.s: r for r in records}
-    assert (
-        grassmann_verdict(by_s[4])
-        == "the 3-uple Veronese of P^2 is not (1, 3)-Grassmann defective"
-    )
-    assert grassmann_verdict(by_s[5]) == (
-        "candidate: the 3-uple Veronese of P^2 may be (1, 4)-Grassmann"
-        " defective (defect 1 at the sampled points)"
-    )
-    gap = scan(ScanGrid(n_values=(1,), m_values=(1,), d_values=(3,)), CFG)
-    certified_gap = {r.s: r for r in gap}[3]
-    assert grassmann_verdict(certified_gap) == (
-        "the 3-uple Veronese of P^1 is not (1, 2)-Grassmann defective"
-        " at the sampled points (outside the certified range)"
-    )
-    candidate = scan_cell(
-        SegreVeroneseParams(2, 3, 2), 5, SampleConfig(seed=0, trials=1)
-    )
-    assert grassmann_verdict(candidate) == (
-        "candidate: the 2-uple Veronese of P^3 may be (2, 4)-Grassmann"
-        " defective (defect 1 at the sampled points)"
-    )
 
 
 def test_verify_dictionary_grid_counts():

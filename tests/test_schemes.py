@@ -1,6 +1,7 @@
 """Flag configurations: bases, condition rows, dictionary, splitting."""
 
 import dataclasses
+import json
 from math import comb
 
 import pytest
@@ -20,7 +21,6 @@ from secantdim.schemes import (
     project_from_h1,
     projected_scheme,
     residual_trace,
-    restricted_basis,
     sample_scheme,
     scheme_basis,
     scheme_basis_size,
@@ -29,7 +29,6 @@ from secantdim.schemes import (
     scheme_to_dict,
     span_rows,
     verify_dictionary,
-    w_space_rows,
 )
 from secantdim.terracini import (
     SampleConfig,
@@ -50,6 +49,23 @@ def _generic_point(nvars, seed, on_h_index=None):
     )
 
 
+def restricted_basis(n, m, d):
+    """The flag basis of degree d+1 listed explicitly, as a reference.
+
+    Vanishing to order d on H1 forces b-degree >= d, and through H2 forces
+    divisibility by some a_i or by b_0; what survives in degree d+1 is
+    a_i * (degree-d monomial in b) for each i, then b_0 * (degree-d
+    monomial in b). Exactly (n+1) * C(m+d, d) monomials, in that order.
+    """
+    ydeg = graded_basis(m + 1, d).monomials
+    out = []
+    for i in range(n):
+        prefix = (0,) * i + (1,) + (0,) * (n - 1 - i)
+        out.extend(prefix + beta for beta in ydeg)
+    out.extend((0,) * n + (beta[0] + 1,) + beta[1:] for beta in ydeg)
+    return tuple(out)
+
+
 def test_restricted_basis_shape():
     basis = restricted_basis(1, 2, 3)
     assert len(basis) == 20
@@ -61,16 +77,10 @@ def test_restricted_basis_shape():
 
 
 def test_restricted_basis_matches_filtered_graded_basis():
-    for n, m, d in [(1, 2, 3), (2, 1, 3), (2, 2, 4), (3, 1, 2)]:
-        explicit = set(restricted_basis(n, m, d))
+    # the generic filter lists the flag basis in the explicit order
+    for n, m, d in [(1, 2, 3), (2, 1, 3), (2, 2, 4), (3, 1, 2), (3, 3, 5)]:
         spec = SchemeSpec(n=n, m=m, d=d, fat_h1=d, include_h2=True)
-        filtered = {
-            mono
-            for mono in graded_basis(n + m + 1, d + 1).monomials
-            if sum(mono[n:]) >= d and (any(mono[:n]) or mono[n] > 0)
-        }
-        assert explicit == filtered
-        assert set(scheme_basis(spec, d + 1)) == explicit
+        assert scheme_basis(spec, d + 1) == restricted_basis(n, m, d)
 
 
 def test_scheme_basis_without_flag_components():
@@ -113,10 +123,12 @@ def test_double_point_on_h1_kills_all_rows():
 
 
 def test_w_space_rows_closed_form():
+    # on the flag basis a span through H1 imposes n+1 conditions: n rows
+    # indexed by the mu variables, then one evaluation row at the anchor
     n, m, d = 2, 2, 3
     basis = restricted_basis(n, m, d)
     anchor = _generic_point(n + m + 1, 7)
-    rows = w_space_rows(n, m, d, anchor, MOD)
+    rows = span_rows(basis, n, anchor, MOD)
     assert len(rows) == n + 1
     ycount = len(graded_basis(m + 1, d).monomials)
     # row i < n: the anchor's b-powers against the a_i block, zero elsewhere
@@ -134,7 +146,7 @@ def test_w_space_rows_closed_form():
 
 def test_w_space_rows_rejects_anchor_on_h1():
     with pytest.raises(ValueError):
-        w_space_rows(2, 2, 3, (1, 2, 0, 0, 0), MOD)
+        span_rows(restricted_basis(2, 2, 3), 2, (1, 2, 0, 0, 0), MOD)
 
 
 def test_span_rows_on_pure_b_basis_is_one_evaluation():
@@ -308,18 +320,6 @@ def test_projection_empty_cone_counts():
     assert check.equal
 
 
-def test_scheme_json_round_trip():
-    params = SegreVeroneseParams(2, 2, 3)
-    spec = add_v_spans(
-        sample_scheme(params, 3, 2, derived_rng(21), MOD.modulus, specialize=True)
-    )
-    data = scheme_to_dict(spec)
-    assert scheme_from_dict(data) == spec
-    import json
-
-    assert scheme_from_dict(json.loads(json.dumps(data))) == spec
-
-
 def _reference_span_rows(basis, n, anchor, cfg):
     """span_rows as a plain loop: expand each monomial term by term."""
     qa, qb = anchor[:n], anchor[n:]
@@ -430,6 +430,15 @@ def proof_configurations(draw):
         (split.trace, split.trace_degree),
         (projected_scheme(split.residual), d),
     ]
+
+
+@settings(max_examples=60, deadline=None)
+@given(proof_configurations())
+def test_scheme_json_round_trip(configurations):
+    for spec, _ in configurations:
+        data = scheme_to_dict(spec)
+        assert scheme_from_dict(data) == spec
+        assert scheme_from_dict(json.loads(json.dumps(data))) == spec
 
 
 @settings(max_examples=60, deadline=None)
