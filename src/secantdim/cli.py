@@ -44,7 +44,7 @@ _SUITE_CHECKS = {
 }
 
 
-def _add_common_flags(parser: argparse.ArgumentParser) -> None:
+def _add_sampling_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--prime",
         type=int,
@@ -61,6 +61,9 @@ def _add_common_flags(parser: argparse.ArgumentParser) -> None:
         default="modular",
         help="arithmetic backend",
     )
+
+
+def _add_report_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--format", choices=("json", "csv"), default="json", help="report format"
     )
@@ -97,13 +100,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_dim.add_argument("m", type=int)
     p_dim.add_argument("d", type=int)
     p_dim.add_argument("s", type=int)
-    _add_common_flags(p_dim)
+    _add_sampling_flags(p_dim)
+    _add_report_flags(p_dim)
 
     p_thr = sub.add_parser("thresholds", help="certification thresholds s1, s2")
     p_thr.add_argument("n", type=int)
     p_thr.add_argument("m", type=int)
     p_thr.add_argument("d", type=int)
-    _add_common_flags(p_thr)
+    _add_report_flags(p_thr)
 
     p_scan = sub.add_parser("scan", help="scan a grid and report every cell")
     _add_grid_flags(p_scan)
@@ -121,7 +125,8 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="comma-separated s values (explicit only; an error otherwise)",
     )
-    _add_common_flags(p_scan)
+    _add_sampling_flags(p_scan)
+    _add_report_flags(p_scan)
 
     p_ver = sub.add_parser("verify", help="run a verification suite")
     p_ver.add_argument(
@@ -140,7 +145,8 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="largest span count t, at least 0 (theorem and castelnuovo only)",
     )
-    _add_common_flags(p_ver)
+    _add_sampling_flags(p_ver)
+    _add_report_flags(p_ver)
 
     return parser
 
@@ -148,12 +154,15 @@ def build_parser() -> argparse.ArgumentParser:
 def _parse_grids(args: argparse.Namespace) -> list[ScanGrid]:
     """One single-cell grid per listed --grid cell, deduplicated and in
     lexicographic order, or the one range grid. scan takes its s policy from
-    the flags; verify walks the theorem range."""
+    the flags, with the distinct --s-list values; verify walks the theorem
+    range."""
     if args.command == "scan":
         if args.s_margin is not None and args.s_policy != ALL_UP_TO:
             raise ValueError(f"--s-margin needs --s-policy {ALL_UP_TO}")
         s_list = (
-            tuple(int(x) for x in args.s_list.split(",")) if args.s_list else ()
+            tuple(sorted({int(x) for x in args.s_list.split(",")}))
+            if args.s_list
+            else ()
         )
         margin = 1 if args.s_margin is None else args.s_margin
         policy = (args.s_policy, margin, s_list)
@@ -194,26 +203,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        cfg = SampleConfig(
-            seed=args.seed,
-            trials=args.trials,
-            field=FieldConfig(modulus=args.prime, backend=_BACKENDS[args.backend]),
-        )
-        if args.command in ("dim", "thresholds"):
-            params = SegreVeroneseParams(args.n, args.m, args.d)
-            max_degree = args.d
-        else:
-            grids = _parse_grids(args)
-            max_degree = max(d for grid in grids for d in grid.d_values)
-        if args.prime <= max_degree + 1:
-            raise ValueError("prime must exceed d+1 for every requested d")
-        if args.command == "dim":
-            record = scan_cell(params, args.s, cfg)
-            render = records_to_json if args.format == "json" else records_to_csv
-            _emit(render([record]), args.output)
-            return 0
         if args.command == "thresholds":
-            th = thresholds(params)
+            th = thresholds(SegreVeroneseParams(args.n, args.m, args.d))
             data = {
                 "n": args.n,
                 "m": args.m,
@@ -229,6 +220,24 @@ def main(argv: list[str] | None = None) -> int:
                 values = (_csv_value(v) for v in data.values())
                 text = ",".join(data) + "\n" + ",".join(values) + "\n"
             _emit(text, args.output)
+            return 0
+        cfg = SampleConfig(
+            seed=args.seed,
+            trials=args.trials,
+            field=FieldConfig(modulus=args.prime, backend=_BACKENDS[args.backend]),
+        )
+        if args.command == "dim":
+            params = SegreVeroneseParams(args.n, args.m, args.d)
+            max_degree = args.d
+        else:
+            grids = _parse_grids(args)
+            max_degree = max(d for grid in grids for d in grid.d_values)
+        if args.prime <= max_degree + 1:
+            raise ValueError("prime must exceed d+1 for every requested d")
+        if args.command == "dim":
+            record = scan_cell(params, args.s, cfg)
+            render = records_to_json if args.format == "json" else records_to_csv
+            _emit(render([record]), args.output)
             return 0
         if args.command == "scan":
             records = [r for grid in grids for r in scan(grid, cfg)]

@@ -53,7 +53,13 @@ _DICTIONARY_TAG = 101
 
 @dataclass(frozen=True)
 class SchemePoint:
-    """A point of the frame; on_h marks membership in {a_{n-1} = 0}."""
+    """A point of the frame.
+
+    on_h records how the point was drawn: on the splitting hyperplane
+    {a_{n-1} = 0} or freely. It is a label for reports; residual_trace
+    reads the a_{n-1} coordinate, so a point drawn freely that lands on
+    the hyperplane is split as the point it is.
+    """
 
     coords: tuple[int, ...]
     on_h: bool = False
@@ -100,8 +106,7 @@ class SchemeSpec:
         for idx in self.v_spans:
             if not 0 <= idx < npts:
                 raise ValueError("span index out of range")
-            coords, _ = _combined_point(self, idx)
-            self._check_anchor(coords)
+            self._check_anchor(_combined_point(self, idx))
 
     def _check_anchor(self, coords: tuple[int, ...]) -> None:
         if self.n < 1:
@@ -117,14 +122,12 @@ def _check_point(coords: tuple[int, ...], nvars: int) -> None:
         raise ValueError("projective point needs a nonzero coordinate")
 
 
-def _combined_point(spec: SchemeSpec, idx: int) -> tuple[tuple[int, ...], bool]:
-    """Point idx in the doubles-then-simples numbering, with on-H status."""
+def _combined_point(spec: SchemeSpec, idx: int) -> tuple[int, ...]:
+    """Coordinates of point idx in the doubles-then-simples numbering."""
     nd = len(spec.double_points)
     if idx < nd:
-        pt = spec.double_points[idx]
-        return pt.coords, pt.on_h
-    coords = spec.simple_points[idx - nd]
-    return coords, spec.n >= 1 and coords[spec.n - 1] == 0
+        return spec.double_points[idx].coords
+    return spec.simple_points[idx - nd]
 
 
 def scheme_to_dict(spec: SchemeSpec) -> dict:
@@ -337,8 +340,7 @@ def scheme_ideal_dimension(
     for anchor in spec.w_anchors:
         rows.extend(span_rows(basis, spec.n, anchor, cfg))
     for idx in spec.v_spans:
-        coords, _ = _combined_point(spec, idx)
-        rows.extend(span_rows(basis, spec.n, coords, cfg))
+        rows.extend(span_rows(basis, spec.n, _combined_point(spec, idx), cfg))
     return ideal_dimension(matrix_from_rows(rows, len(basis), cfg), cfg)
 
 
@@ -478,17 +480,28 @@ def _drop(coords: tuple[int, ...], index: int) -> tuple[int, ...]:
     return coords[:index] + coords[index + 1 :]
 
 
-def residual_trace(spec: SchemeSpec, degree: int) -> ResidualTracePair:
-    """Split the configuration across the hyperplane {a_{n-1} = 0}.
+def _new_points(
+    candidates: Sequence[tuple[int, ...]], taken: Sequence[tuple[int, ...]]
+) -> tuple[tuple[int, ...], ...]:
+    """The candidates not already taken, first occurrences in order: a point
+    repeated, or absorbed by a double point, imposes nothing new."""
+    skip = set(taken)
+    return tuple(dict.fromkeys(c for c in candidates if c not in skip))
 
-    A double point on the hyperplane leaves a simple point in the residual
-    and a double point in the trace; components not contained in the
-    hyperplane pass whole to the residual and meet it in their trace (spans
-    through H1 trace to spans of the smaller frame, anchored at the image
-    of their anchor). H2 lies inside the hyperplane, so it disappears from
-    the residual and survives in the trace. The trace frame drops the
-    a_{n-1} coordinate; when n = 1 that removes H1 itself, so the flag
-    degenerates and spans collapse to their anchor points.
+
+def residual_trace(spec: SchemeSpec, degree: int) -> ResidualTracePair:
+    """Split the configuration across the hyperplane H = {a_{n-1} = 0}.
+
+    A point is on H exactly when its a_{n-1} coordinate is 0, whatever its
+    on_h label says. A double point on H leaves a simple point in the
+    residual and a double point in the trace; a simple point on H passes
+    to the trace alone; points off H pass whole to the residual. Spans
+    through H1 are never contained in H: each passes whole to the residual
+    and meets H in a span of the smaller frame through the image of its
+    anchor. H2 lies inside H, so it disappears from the residual and
+    survives in the trace. The trace frame drops the a_{n-1} coordinate;
+    when n = 1 that removes H1 itself, so the flag degenerates and spans
+    collapse to their anchor points.
 
     Returns the residual paired with degree-1 and the trace with degree;
     the dimension in degree is at most the sum of the two halves.
@@ -496,103 +509,56 @@ def residual_trace(spec: SchemeSpec, degree: int) -> ResidualTracePair:
     if spec.n < 1:
         raise ValueError("frame has no a-coordinates to split along")
     h = spec.n - 1
-    collapse = spec.n == 1
+    nd = len(spec.double_points)
+    points = [pt.coords for pt in spec.double_points] + list(spec.simple_points)
+    on_h = [coords[h] == 0 for coords in points]
+    traced = [i for i in range(nd) if on_h[i]]
 
-    res_doubles: list[SchemePoint] = []
-    res_simples: list[tuple[int, ...]] = []
-    tr_doubles: list[SchemePoint] = []
-    tr_simples: list[tuple[int, ...]] = []
-    res_pos: dict[int, tuple[str, int]] = {}
-    tr_pos: dict[int, int] = {}
-
-    for j, pt in enumerate(spec.double_points):
-        if pt.on_h:
-            res_pos[j] = ("simple", len(res_simples))
-            res_simples.append(pt.coords)
-            tr_pos[j] = len(tr_doubles)
-            tr_doubles.append(SchemePoint(_drop(pt.coords, h), False))
-        else:
-            res_pos[j] = ("double", len(res_doubles))
-            res_doubles.append(SchemePoint(pt.coords, False))
-
-    base = len(spec.double_points)
-    for j, coords in enumerate(spec.simple_points):
-        if coords[h] == 0:
-            tr_simples.append(_drop(coords, h))
-        else:
-            res_pos[base + j] = ("simple", len(res_simples))
-            res_simples.append(coords)
-
-    res_span_refs: list[tuple[str, int]] = []
-    res_anchor_extra: list[tuple[int, ...]] = []
-    tr_anchor_extra: list[tuple[int, ...]] = []
-    tr_vspans: list[int] = []
-    for idx in spec.v_spans:
-        coords, on_h = _combined_point(spec, idx)
-        ref = res_pos.get(idx)
-        if ref is None:
-            # the anchoring point fell into the trace; the span itself
-            # stays in the residual as a free anchor
-            res_anchor_extra.append(coords)
-        else:
-            res_span_refs.append(ref)
-        if on_h:
-            if not collapse:
-                tr_vspans.append(tr_pos[idx])
-            # n = 1: the traced span is the anchor point itself, already
-            # present as a trace double point
-        else:
-            dropped = _drop(coords, h)
-            if collapse:
-                tr_simples.append(dropped)
-            else:
-                tr_anchor_extra.append(dropped)
-
-    res_vspans = tuple(
-        pos if kind == "double" else len(res_doubles) + pos
-        for kind, pos in res_span_refs
-    )
-
-    if collapse:
-        tr_simples.extend(_drop(q, h) for q in spec.w_anchors)
-        tr_anchors: tuple[tuple[int, ...], ...] = ()
-        tr_fat = 0
-    else:
-        tr_anchors = tuple(_drop(q, h) for q in spec.w_anchors) + tuple(
-            tr_anchor_extra
-        )
-        tr_fat = spec.fat_h1
-
-    # drop duplicate trace points (a span collapsing onto a double point
-    # imposes nothing new)
-    seen = {pt.coords for pt in tr_doubles}
-    tr_unique: list[tuple[int, ...]] = []
-    for coords in tr_simples:
-        if coords not in seen:
-            seen.add(coords)
-            tr_unique.append(coords)
-
+    # residual: off-H doubles stay double, on-H doubles and off-H simples
+    # become simple points, numbered in that order for the v_spans
+    res_doubles = [i for i in range(nd) if not on_h[i]]
+    res_simples = traced + [i for i in range(nd, len(points)) if not on_h[i]]
+    res_pos = {i: k for k, i in enumerate(res_doubles + res_simples)}
     residual = SchemeSpec(
         n=spec.n,
         m=spec.m,
         d=spec.d,
         fat_h1=spec.fat_h1,
         include_h2=False,
-        double_points=tuple(res_doubles),
-        simple_points=tuple(res_simples),
-        w_anchors=spec.w_anchors + tuple(res_anchor_extra),
-        v_spans=res_vspans,
+        double_points=tuple(spec.double_points[i] for i in res_doubles),
+        simple_points=tuple(points[i] for i in res_simples),
+        # a span whose anchor left for the trace stays as a free anchor
+        w_anchors=spec.w_anchors
+        + tuple(points[i] for i in spec.v_spans if i not in res_pos),
+        v_spans=tuple(res_pos[i] for i in spec.v_spans if i in res_pos),
     )
+
+    # trace: a span at a traced double stays an indexed span; every other
+    # span is re-anchored at the image of its anchor
+    tr_pos = {i: k for k, i in enumerate(traced)}
+    tr_doubles = [_drop(points[i], h) for i in traced]
+    tr_simples = [_drop(points[i], h) for i in range(nd, len(points)) if on_h[i]]
+    moved = [_drop(points[i], h) for i in spec.v_spans if i not in tr_pos]
+    anchors = [_drop(q, h) for q in spec.w_anchors]
+    if spec.n == 1:
+        # no H1 left: spans are their anchor points, and a span at a traced
+        # double is that double point
+        tr_simples += moved + anchors
+        anchors, tr_vspans, tr_fat = [], (), 0
+    else:
+        anchors += moved
+        tr_vspans = tuple(tr_pos[i] for i in spec.v_spans if i in tr_pos)
+        tr_fat = spec.fat_h1
     trace = SchemeSpec(
-        n=spec.n - 1,
+        n=h,
         m=spec.m,
         d=spec.d,
         fat_h1=tr_fat,
         include_h2=spec.include_h2,
-        double_points=tuple(tr_doubles),
-        simple_points=tuple(tr_unique),
-        w_anchors=tr_anchors,
-        v_spans=tuple(tr_vspans),
+        double_points=tuple(map(SchemePoint, tr_doubles)),
+        simple_points=_new_points(tr_simples, tr_doubles),
+        w_anchors=tuple(anchors),
+        v_spans=tr_vspans,
     )
     return ResidualTracePair(residual, degree - 1, trace, degree)
 
@@ -647,30 +613,23 @@ def projected_scheme(residual: SchemeSpec) -> SchemeSpec:
     if residual.n < 1 or residual.fat_h1 != residual.d or residual.include_h2:
         raise ValueError("configuration is not a cone over H1 in degree d")
     n = residual.n
-    doubles = []
-    for pt in residual.double_points:
-        image = pt.coords[n:]
-        if not any(image):
-            raise ValueError("double point lies on the projection center")
-        doubles.append(SchemePoint(image, False))
-    sources = list(residual.simple_points)
-    sources.extend(_combined_point(residual, idx)[0] for idx in residual.v_spans)
-    sources.extend(residual.w_anchors)
-    seen = {pt.coords for pt in doubles}
-    simples: list[tuple[int, ...]] = []
-    for coords in sources:
-        image = coords[n:]
-        if not any(image):
-            raise ValueError("component projects from the center")
-        if image not in seen:
-            seen.add(image)
-            simples.append(image)
+    doubles = [pt.coords[n:] for pt in residual.double_points]
+    if not all(map(any, doubles)):
+        raise ValueError("double point lies on the projection center")
+    sources = [
+        *residual.simple_points,
+        *(_combined_point(residual, idx) for idx in residual.v_spans),
+        *residual.w_anchors,
+    ]
+    images = [coords[n:] for coords in sources]
+    if not all(map(any, images)):
+        raise ValueError("component projects from the center")
     return SchemeSpec(
         n=0,
         m=residual.m,
         d=residual.d,
-        double_points=tuple(doubles),
-        simple_points=tuple(simples),
+        double_points=tuple(map(SchemePoint, doubles)),
+        simple_points=_new_points(images, doubles),
     )
 
 

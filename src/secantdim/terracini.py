@@ -30,6 +30,11 @@ from .linalg import (
 )
 from .monomials import bihomogeneous_basis, derivative_rows
 
+# every report prints N = (n+1)C(m+d, d) - 1 or thresholds of that size, and
+# Python prints an int of at most 4300 digits by default
+MAX_COUNT_DIGITS = 4300
+_MAX_COUNT = 10**MAX_COUNT_DIGITS - 1
+
 
 @dataclass(frozen=True)
 class SegreVeroneseParams:
@@ -42,6 +47,11 @@ class SegreVeroneseParams:
     def __post_init__(self) -> None:
         if self.n < 1 or self.m < 1 or self.d < 1:
             raise ValueError("need n >= 1, m >= 1, d >= 1")
+        if _count_exceeds(self.n, self.m, self.d, _MAX_COUNT):
+            raise ValueError(
+                f"(n+1)C(m+d, d) has more than {MAX_COUNT_DIGITS} digits "
+                f"at (n, m, d) = ({self.n}, {self.m}, {self.d})"
+            )
 
     @property
     def coefficient_count(self) -> int:
@@ -56,6 +66,22 @@ class SegreVeroneseParams:
     @property
     def variety_dim(self) -> int:
         return self.n + self.m
+
+
+def _count_exceeds(n: int, m: int, d: int, cap: int) -> bool:
+    """Whether (n+1)C(m+d, d) > cap, without building a count past cap.
+
+    The running product (n+1)C(k+i, i) over i = 1..min(m, d), with
+    k = max(m, d), is exact at every step and grows by a factor of at least
+    2 per step, so it passes any cap within log2(cap) steps.
+    """
+    k = max(m, d)
+    count = n + 1
+    for i in range(1, min(m, d) + 1):
+        if count > cap:
+            return True
+        count = count * (k + i) // i
+    return count > cap
 
 
 @dataclass(frozen=True)

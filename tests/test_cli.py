@@ -136,6 +136,10 @@ def test_exact_backend_agrees_with_modular():
          "--q-max", "-1", "--t-max", "-3"),
         ("verify", "dictionary", "--grid", "(1,1,3)", "--q-max", "2"),
         ("verify", "dictionary", "--grid", "(1,1,3)", "--t-max", "2"),
+        ("thresholds", "1", "2", "3", "--prime", "7"),
+        ("thresholds", "1", "2", "3", "--seed", "4"),
+        ("thresholds", "1", "2", "3", "--trials", "9"),
+        ("thresholds", "1", "2", "3", "--backend", "exact"),
     ],
 )
 def test_invalid_inputs_exit_two(args):
@@ -222,6 +226,46 @@ def test_oversized_scheme_is_refused_before_its_basis_is_built(
             "--t-max", "0"]
     assert main(args) == 2
     assert "72 x 739024" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("dim", "1", "3000000", "3000000", "1"),
+        ("thresholds", "1", "3000000", "3000000"),
+        ("scan", "--grid", "(1,3000000,3000000)"),
+    ],
+)
+def test_count_too_long_to_print_exits_two_at_once(args):
+    # C(6000000, 3000000) alone would take minutes to compute
+    proc = subprocess.run(CMD + list(args), capture_output=True, text=True, timeout=20)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "digits" in proc.stderr
+
+
+def test_repeated_s_list_values_give_one_record_each(capsys):
+    records = _main_json(
+        capsys, "scan", "--grid", "(1,1,3)", "--s-policy", "explicit",
+        "--s-list", "3,3,1",
+    )
+    assert [r["s"] for r in records] == [1, 3]
+    assert records == _main_json(
+        capsys, "scan", "--grid", "(1,1,3)", "--s-policy", "explicit",
+        "--s-list", "1,3",
+    )
+
+
+@pytest.mark.parametrize("prime", ["7", "11", "13"])
+def test_castelnuovo_holds_at_small_primes(prime):
+    # the bound is an exact-sequence inequality, so no draw may break it,
+    # however special a small prime makes the draws
+    proc = run_cli(
+        "verify", "castelnuovo", "--n-max", "3", "--m-max", "3",
+        "--d-min", "3", "--d-max", "4", "--prime", prime, "--trials", "2",
+    )
+    assert proc.returncode == 0, proc.stdout
+    assert json.loads(proc.stdout)["failures"] == []
 
 
 def test_s_margin_applies_to_all_up_to(capsys):

@@ -2,10 +2,11 @@
 
 import dataclasses
 import json
+from collections import Counter
 from math import comb
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from secantdim import schemes
@@ -274,6 +275,116 @@ def test_trace_spans_at_double_points_are_base_locus():
     assert scheme_ideal_dimension(tr, 4, MOD) == scheme_ideal_dimension(
         stripped, 4, MOD
     )
+
+
+@st.composite
+def split_specs(draw):
+    """Any valid configuration with n >= 1. Coordinates are small, so points
+    often land on H = {a_{n-1} = 0} and on each other, and a double point
+    on H may carry the on_h label False, as a free draw that hit H does."""
+    n, m, d = draw(st.integers(1, 3)), draw(st.integers(1, 2)), draw(st.integers(1, 3))
+    coords = st.tuples(*[st.integers(0, 2)] * (n + m + 1)).filter(any)
+    off_h1 = coords.filter(lambda c: any(c[n:]))
+    doubles = tuple(
+        SchemePoint(c, c[n - 1] == 0 and draw(st.booleans()))
+        for c in draw(st.lists(coords, max_size=3))
+    )
+    simples = tuple(draw(st.lists(coords, max_size=3)))
+    points = [pt.coords for pt in doubles] + list(simples)
+    spannable = [i for i, c in enumerate(points) if any(c[n:])]
+    v_spans = (
+        draw(st.lists(st.sampled_from(spannable), max_size=3)) if spannable else []
+    )
+    return SchemeSpec(
+        n=n,
+        m=m,
+        d=d,
+        fat_h1=draw(st.sampled_from((0, d))),
+        include_h2=draw(st.booleans()),
+        double_points=doubles,
+        simple_points=simples,
+        w_anchors=tuple(draw(st.lists(off_h1, max_size=2))),
+        v_spans=tuple(v_spans),
+    )
+
+
+def _span_anchors(spec):
+    indexed = [pt.coords for pt in spec.double_points] + list(spec.simple_points)
+    return [indexed[i] for i in spec.v_spans] + list(spec.w_anchors)
+
+
+# a span anchored at a simple point on H
+SPAN_AT_SIMPLE_ON_H = SchemeSpec(
+    n=2, m=1, d=3, simple_points=((1, 0, 2, 3),), v_spans=(0,)
+)
+# a double point drawn freely that lands on H; left double in the residual
+# it would break the bound in degree 2: total 3 > residual 0 + trace 2
+FREE_DOUBLE_ON_H = SchemeSpec(
+    n=1, m=1, d=1, include_h2=True, double_points=(SchemePoint((0, 0, 1)),)
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(split_specs())
+@example(SPAN_AT_SIMPLE_ON_H)
+@example(FREE_DOUBLE_ON_H)
+def test_residual_trace_splits_every_component_by_coordinates(spec):
+    h = spec.n - 1
+    pair = residual_trace(spec, 4)
+    res, tr = pair.residual, pair.trace
+
+    def on_h(coords):
+        return coords[h] == 0
+
+    def drop(coords):
+        return coords[:h] + coords[h + 1 :]
+
+    doubles = [pt.coords for pt in spec.double_points]
+    # a double point off H stays double; on H it leaves a simple point in
+    # the residual and a double point in the trace
+    assert [pt.coords for pt in res.double_points] == [
+        c for c in doubles if not on_h(c)
+    ]
+    assert [pt.coords for pt in tr.double_points] == [
+        drop(c) for c in doubles if on_h(c)
+    ]
+    # a simple point goes to the residual off H and to the trace on H
+    assert Counter(res.simple_points) == Counter(
+        [c for c in doubles if on_h(c)]
+        + [c for c in spec.simple_points if not on_h(c)]
+    )
+    traced = [drop(c) for c in spec.simple_points if on_h(c)]
+    # every span passes whole to the residual and meets H in the span
+    # through the image of its anchor, a point once H1 is gone (n = 1)
+    assert Counter(_span_anchors(res)) == Counter(_span_anchors(spec))
+    images = [drop(c) for c in _span_anchors(spec)]
+    if spec.n > 1:
+        assert Counter(_span_anchors(tr)) == Counter(images)
+    else:
+        assert _span_anchors(tr) == []
+        traced += images
+    # trace points are kept once, and not where a double point absorbs them
+    assert len(set(tr.simple_points)) == len(tr.simple_points)
+    assert set(tr.simple_points) == set(traced) - {
+        pt.coords for pt in tr.double_points
+    }
+    # the flag stays in the residual, H2 only in the trace
+    assert (res.n, res.fat_h1, res.include_h2) == (spec.n, spec.fat_h1, False)
+    assert (tr.n, tr.fat_h1, tr.include_h2) == (
+        h,
+        spec.fat_h1 if h else 0,
+        spec.include_h2,
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(split_specs())
+@example(SPAN_AT_SIMPLE_ON_H)
+@example(FREE_DOUBLE_ON_H)
+def test_castelnuovo_bound_holds_for_every_configuration(spec):
+    # an exact-sequence inequality: no configuration and no field violates it
+    for degree in range(1, 6):
+        assert castelnuovo_check(spec, degree, FieldConfig(modulus=7)).holds
 
 
 def test_castelnuovo_frozen_split():

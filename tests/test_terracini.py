@@ -1,17 +1,23 @@
 """Tangent blocks and sampled secant dimensions."""
 
+from math import comb
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from secantdim.expected import expected_secant_dim
 from secantdim.linalg import MAX_MATRIX_ENTRIES, FieldConfig, matrix_from_rows, rank
 from secantdim.monomials import bihomogeneous_basis, evaluation_row
 from secantdim.terracini import (
+    MAX_COUNT_DIGITS,
     PointPair,
     SampleConfig,
     SegreVeroneseParams,
     best_ranks,
     derived_rng,
     ideal_dim_bidegree,
+    _count_exceeds,
     random_point_pair,
     sample_point_pairs,
     secant_dimension,
@@ -29,6 +35,31 @@ def test_params_derived_counts():
     assert params.variety_dim == 3
     with pytest.raises(ValueError):
         SegreVeroneseParams(0, 2, 3)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(0, 40),
+    st.integers(1, 40),
+    st.integers(1, 40),
+    st.integers(-1, 1),
+    st.sampled_from((0, 1, 2, 10**6, None)),
+)
+def test_count_exceeds_matches_the_full_binomial(n, m, d, shift, cap):
+    count = (n + 1) * comb(m + d, d)
+    # None puts the cap next to the count, where an off-by-one would show
+    cap = count + shift if cap is None else cap
+    assert _count_exceeds(n, m, d, cap) == (count > cap)
+
+
+def test_params_refuse_a_count_too_long_to_print():
+    # 2C(2k, k) has 4299 digits at k = 7143, 4300 at 7145 and 4301 at 7146;
+    # reports print N and the thresholds in full
+    for k in (7143, 7145):
+        params = SegreVeroneseParams(1, k, k)
+        assert len(str(params.ambient_dim)) <= MAX_COUNT_DIGITS
+    with pytest.raises(ValueError, match="digits"):
+        SegreVeroneseParams(1, 7146, 7146)
 
 
 def test_tangent_block_segre_quadric():
