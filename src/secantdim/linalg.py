@@ -2,11 +2,14 @@
 
 The modular backend is the workhorse: scalars live in [0, p) with p < 2^31,
 so any product of two of them fits in a signed 64-bit intermediate and numpy
-row operations stay exact. The exact-rational backend trades speed for
-characteristic-zero certainty; it is the escalation step when a deficient
-modular rank needs confirmation. Every row builder evaluates integer
-polynomials at integer points, so its matrices have integer entries and a
-fraction-free elimination gives their rank over Q.
+row operations stay exact. The exact-rational backend gives characteristic-
+zero certainty; it is the escalation step when a deficient modular rank
+needs confirmation. Every row builder evaluates integer polynomials at
+integer points, so its matrices have integer entries. Over Q a rank is the
+rank of an elimination modulo a large prime, returned only once a
+certificate has proven it: the pivot block bounds it from below, and an
+exact integer product writing every other column through the pivot columns
+bounds it from above.
 
 Ranks are always taken at explicit points, so over GF(p) a computed rank can
 only undercount the generic characteristic-zero rank. "computed == expected"
@@ -17,7 +20,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from math import gcd
+from math import isqrt, prod
 from typing import Sequence
 
 import numpy as np
@@ -179,14 +182,15 @@ def matrix_from_rows(
 
 
 def rank(mat: Matrix, cfg: FieldConfig) -> int:
-    """Rank by Gaussian elimination with first-nonzero pivoting.
+    """Rank over GF(p) by Gaussian elimination, or over Q as a certified
+    modular rank.
 
-    Row and column rank agree, so over GF(p) the orientation with fewer rows
-    is eliminated: it needs fewer pivot steps. Over Q the rows are kept as
-    given; on the tall tangent matrices of the d = 2 defect cells the
-    fraction-free elimination of the transpose is about 20% slower.
+    Row and column rank agree, so the orientation is free. Over GF(p) the
+    one with fewer rows is eliminated: it needs fewer pivot steps. Over Q
+    the one with fewer columns is: the certificate must express each of its
+    non-pivot columns, and a tall tangent matrix has only 1 to 3 of them.
     """
-    transpose = cfg.is_modular and mat.rows > mat.cols
+    transpose = mat.rows > mat.cols if cfg.is_modular else mat.cols > mat.rows
     return len(_pivot_columns(mat, cfg, transpose))
 
 
@@ -204,8 +208,8 @@ def _pivot_columns(mat: Matrix, cfg: FieldConfig, transpose: bool) -> list[int]:
         return []
     grid = mat.entries.T if transpose else mat.entries
     if cfg.is_modular:
-        return _rank_modular(grid, cfg.modulus)
-    return _rank_exact(grid.tolist())
+        return _rank_modular(grid, cfg.modulus)[0]
+    return _certified_pivots(grid)
 
 
 def ideal_dimension(mat: Matrix, cfg: FieldConfig) -> int:
@@ -213,11 +217,17 @@ def ideal_dimension(mat: Matrix, cfg: FieldConfig) -> int:
     return mat.cols - rank(mat, cfg)
 
 
-def _rank_modular(grid: np.ndarray, p: int) -> list[int]:
-    """Pivot columns of an echelon form over GF(p); grid is not modified."""
+def _rank_modular(grid: np.ndarray, p: int) -> tuple[list[int], list[int]]:
+    """Pivot columns of an echelon form over GF(p), and the rows of grid
+    swapped into the pivot positions; grid is not modified.
+
+    Pivot rows and pivot columns cut out a block of grid that is
+    nonsingular mod p.
+    """
     # a reduced, row-major working copy, whatever the layout of grid
     grid = np.remainder(grid, p, order="C")
     nrows, ncols = grid.shape
+    order = list(range(nrows))
     pivots: list[int] = []
     r = 0
     for c in range(ncols):
@@ -230,6 +240,7 @@ def _rank_modular(grid: np.ndarray, p: int) -> list[int]:
             continue
         if pivot != r:
             grid[[r, pivot]] = grid[[pivot, r]]
+            order[r], order[pivot] = order[pivot], order[r]
         inv = pow(int(grid[r, c]), -1, p)
         grid[r, c:] = grid[r, c:] * inv % p
         below = grid[r + 1 :, c]
@@ -240,46 +251,178 @@ def _rank_modular(grid: np.ndarray, p: int) -> list[int]:
         r += 1
         if r == nrows:
             break
-    return pivots
+    return pivots, order[:r]
 
 
-def _normalize(row: list[int]) -> list[int]:
-    g = 0
-    for x in row:
-        g = gcd(g, x)
-    if g > 1:
-        row = [x // g for x in row]
-    return row
+def _certified_pivots(grid: np.ndarray) -> list[int]:
+    """Pivot columns of an integer matrix over Q, each set proven before it
+    is returned.
 
-
-def _rank_exact(rows: list[list[int]]) -> list[int]:
-    """Pivot columns of a fraction-free echelon form over the integers,
-    gcd-normalized each step.
-
-    Entries become Python integers through operator.index, which refuses a
-    fraction rather than truncate it and turns a numpy integer, whose
-    fraction-free products would overflow, into an unbounded one.
+    The pivots come from an elimination modulo a large prime p: the block of
+    pivot rows and columns is nonsingular mod p, hence over Q, which bounds
+    the rank from below. _certify bounds it from above. Where that fails, p
+    divides some minor and the elimination is repeated at the next prime
+    below; only finitely many primes divide a nonzero minor. The prime never
+    depends on a sampling range, which may be small.
     """
-    work = [_normalize([operator.index(x) for x in row]) for row in rows]
-    ncols = len(work[0]) if work else 0
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        pivot = next((i for i in range(r, len(work)) if work[i][c]), -1)
-        if pivot < 0:
+    # operator.index refuses a fraction rather than truncate it, and turns a
+    # numpy integer, whose products would overflow, into an unbounded one
+    ints = np.frompyfunc(operator.index, 1, 1)(grid)
+    p = DEFAULT_MODULUS
+    while True:
+        cols, rows = _rank_modular((ints % p).astype(np.int64), p)
+        if _certify(ints, rows, cols, p):
+            return cols
+        p -= 2
+        while not is_prime(p):
+            p -= 2
+
+
+# limb width of the int64 products: a dot of depth below 2^18 of 15-bit by
+# 30-bit factors stays below 2^63
+_LIMB_BITS = 15
+
+
+def _certify(ints: np.ndarray, rows: list[int], cols: list[int], p: int) -> bool:
+    """Whether every non-pivot column of ints is a rational combination of
+    the pivot columns to its left; then the rank is exactly len(cols).
+
+    The combinations solve the pivot block against the non-pivot columns on
+    the pivot rows, found by Dixon p-adic lifting (Numer. Math. 1982) and
+    rebuilt by rational reconstruction (Wang-Guy-Davenport 1982). Only the
+    exact product over every row proves them; lifting stops at the first
+    reconstruction that passes it, or fails once p^k passes the Hadamard
+    bound, beyond which the reconstruction is the exact solution.
+    """
+    pivots = set(cols)
+    others = [c for c in range(ints.shape[1]) if c not in pivots]
+    if not others:
+        return True
+    if not cols:
+        return not any(ints.flat)
+    block = ints[np.ix_(rows, cols)]
+    rhs = ints[np.ix_(rows, others)]
+    inverse = _split(_inverse_mod((block % p).astype(np.int64), p), 2)
+    limbs = _split(block, max(x.bit_length() for x in block.flat) // _LIMB_BITS + 2)
+    # by Cramer's rule and Hadamard's bound, the solution's numerators and
+    # denominators are at most prod |B_i| * max |b|; past twice its square,
+    # reconstruction is unique
+    height = prod(int((block[:, i] ** 2).sum()) for i in range(len(cols)))
+    bound = 2 * height * max(int((rhs[:, j] ** 2).sum()) for j in range(len(others)))
+    residual = rhs
+    solution = np.zeros(rhs.shape, dtype=object)
+    power, steps, attempt = 1, 0, 1
+    while True:
+        digit = _product_mod(inverse, (residual % p).astype(np.int64), p)
+        solution = solution + digit.astype(object) * power
+        residual = (residual - _product(limbs, digit)) // p
+        power *= p
+        steps += 1
+        # reconstructing at geometrically spaced steps keeps the failed
+        # attempts a small share of the lifting
+        if steps < attempt and power <= bound:
             continue
-        work[r], work[pivot] = work[pivot], work[r]
-        prow = work[r]
-        lead = prow[c]
-        for i in range(r + 1, len(work)):
-            head = work[i][c]
-            if not head:
-                continue
-            work[i] = _normalize(
-                [lead * x - head * y for x, y in zip(work[i], prow)]
-            )
-        pivots.append(c)
-        r += 1
-        if r == len(work):
-            break
-    return pivots
+        attempt += attempt // 2 + 1
+        found = _reconstruct(solution, power)
+        if found is not None and _combines(ints, cols, others, *found):
+            return True
+        if power > bound:
+            return False
+
+
+def _split(values: np.ndarray, count: int) -> list[np.ndarray]:
+    """Integers as int64 limbs: values = sum of limbs[l] * 2^(15 l).
+
+    Every limb but the last lies in [0, 2^15); the last keeps the sign.
+    """
+    values = values.astype(object)
+    mask = (1 << _LIMB_BITS) - 1
+    limbs = []
+    for _ in range(count - 1):
+        limbs.append((values & mask).astype(np.int64))
+        values = values >> _LIMB_BITS
+    limbs.append(values.astype(np.int64))
+    return limbs
+
+
+def _product(limbs: list[np.ndarray], digit: np.ndarray) -> np.ndarray:
+    """The exact product of a limb-split matrix and a matrix of residues, as
+    Python integers."""
+    out = (limbs[-1] @ digit).astype(object)
+    for limb in reversed(limbs[:-1]):
+        out = (out << _LIMB_BITS) + (limb @ digit).astype(object)
+    return out
+
+
+def _product_mod(inverse: list[np.ndarray], digit: np.ndarray, p: int) -> np.ndarray:
+    """(inverse @ digit) mod p for a two-limb inverse with entries below p."""
+    low, high = inverse
+    return ((high @ digit % p << _LIMB_BITS) + low @ digit) % p
+
+
+def _inverse_mod(block: np.ndarray, p: int) -> np.ndarray:
+    """Inverse of a nonsingular matrix over GF(p), by Gauss-Jordan."""
+    size = len(block)
+    work = np.concatenate([block, np.eye(size, dtype=np.int64)], axis=1)
+    for c in range(size):
+        pivot = c + int(np.flatnonzero(work[c:, c])[0])
+        if pivot != c:
+            work[[c, pivot]] = work[[pivot, c]]
+        work[c] = work[c] * pow(int(work[c, c]), -1, p) % p
+        column = work[:, c].copy()
+        column[c] = 0
+        work = (work - np.outer(column, work[c])) % p
+    return work[:, size:]
+
+
+def _reconstruct(
+    solution: np.ndarray, modulus: int
+) -> tuple[np.ndarray, int] | None:
+    """Numerators and one common denominator whose quotients are congruent
+    to solution mod modulus, all at most sqrt(modulus / 2) in size, or None.
+
+    Each entry times the denominator so far is tried as a small numerator
+    first; only where that fails is a new denominator factor reconstructed.
+    """
+    bound = isqrt(modulus // 2)
+    den = 1
+    nums: list[int] = []
+    for value in solution.flat:
+        scaled = value * den % modulus
+        num = scaled if scaled <= bound else scaled - modulus
+        if abs(num) > bound:
+            found = _rational(scaled, modulus, bound)
+            if found is None:
+                return None
+            num, factor = found
+            den *= factor
+            if den > bound:
+                return None
+            nums = [x * factor for x in nums]
+        nums.append(num)
+    return np.array(nums, dtype=object).reshape(solution.shape), den
+
+
+def _rational(value: int, modulus: int, bound: int) -> tuple[int, int] | None:
+    """(a, b) with a = b * value mod modulus, |a| <= bound and 0 < b <= bound,
+    by the extended Euclidean algorithm, or None."""
+    r0, r1 = modulus, value
+    t0, t1 = 0, 1
+    while r1 > bound:
+        q = r0 // r1
+        r0, r1 = r1, r0 - q * r1
+        t0, t1 = t1, t0 - q * t1
+    if t1 == 0 or abs(t1) > bound:
+        return None
+    return (r1, t1) if t1 > 0 else (-r1, -t1)
+
+
+def _combines(
+    ints: np.ndarray, cols: list[int], others: list[int], nums: np.ndarray, den: int
+) -> bool:
+    """Whether ints[:, others] * den == ints[:, cols] @ nums exactly, with
+    every non-pivot column drawing only on pivot columns to its left."""
+    for j, col in enumerate(others):
+        if any(nums[i, j] for i, c in enumerate(cols) if c > col):
+            return False
+    return np.array_equal(ints[:, cols] @ nums, ints[:, others] * den)

@@ -7,9 +7,11 @@ depend on traversal order, a single cell computed on its own equals its
 record in a scan, and identical inputs reproduce byte-identical reports.
 
 A cell whose computed dimension falls short of the expected one is escalated
-before being reported, in one step: the row's draws are recomputed over the
-rationals at doubled trials. An integer matrix has at least its modular rank
-over Q, so this step settles everything a doubled modular run could, and
+before being reported, in one step: the row's draws are ranked over the
+rationals at doubled trials, a rank over Q being a modular rank proven by a
+certificate. A pass already over Q ranks only the new draws. An integer
+matrix has at least its modular rank over Q, so this step settles
+everything a doubled modular run could, and
 only a shortfall that survives it is a defect candidate. Certification never
 needs escalation because a modular rank cannot overshoot.
 """
@@ -190,7 +192,11 @@ def scan_cell(
     if gap.defect:
         trials = cfg.trials * 2
         exact = replace(row_cfg, trials=trials, field=cfg.field.to_rational())
-        computed = max(computed, secant_dimension(params, s, exact))
+        # a pass over Q has already ranked trials 0 .. T-1 exactly
+        first = 0 if cfg.field.is_modular else cfg.trials
+        computed = max(
+            computed, secant_dimension(params, s, exact, first_trial=first)
+        )
         gap = defect(params, s, computed)
     th = thresholds(params)
     in_range = params.d >= 3 and (s <= th.s1 or s >= th.s2)

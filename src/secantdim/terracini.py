@@ -179,16 +179,23 @@ def sample_point_pairs(
 
 
 def best_ranks(
-    params: SegreVeroneseParams, s_values: Iterable[int], cfg: SampleConfig
+    params: SegreVeroneseParams,
+    s_values: Iterable[int],
+    cfg: SampleConfig,
+    first_trial: int = 0,
 ) -> dict[int, int]:
-    """Best rank of s stacked tangent blocks over cfg.trials draws, per s.
+    """Best rank of s stacked tangent blocks over the draws of trials
+    first_trial .. cfg.trials - 1, per s.
 
     Each trial draws max(s) points once; the matrix for s is the first s
     blocks of the one for max(s), so a single rank profile yields every
     prefix rank. A rank never exceeds its cap min(N+1, s(n+m+1)), so each
     later trial runs only for the s still below it, up to the largest.
     """
-    wanted = sorted(set(s_values))
+    # an increasing range is already sorted and distinct; a theorem range
+    # can be far too long to list, and the size check refuses it first
+    increasing = isinstance(s_values, range) and s_values.step > 0
+    wanted = s_values if increasing else sorted(set(s_values))
     if not wanted or wanted[0] < 1:
         raise ValueError("need at least one tangent space")
     require_headroom(cfg.field, params.d + 1)
@@ -200,7 +207,7 @@ def best_ranks(
     )
     monos = bihomogeneous_basis(params.n, params.m, 1, params.d).combined()
     best = dict.fromkeys(wanted, 0)
-    for trial in range(cfg.trials):
+    for trial in range(first_trial, cfg.trials):
         open_s = [
             s
             for s in wanted
@@ -223,15 +230,15 @@ def best_ranks(
 
 
 def secant_dimension(
-    params: SegreVeroneseParams, s: int, cfg: SampleConfig
+    params: SegreVeroneseParams, s: int, cfg: SampleConfig, first_trial: int = 0
 ) -> int:
     """Projective dimension of the span of s sampled tangent spaces.
 
-    Takes the best rank over cfg.trials independent draws; the result never
-    exceeds min(N, s(n+m+1) - 1) and equals the generic secant dimension
-    with overwhelming probability.
+    Takes the best rank over the independent draws of trials first_trial ..
+    cfg.trials - 1; the result never exceeds min(N, s(n+m+1) - 1) and
+    equals the generic secant dimension with overwhelming probability.
     """
-    return best_ranks(params, (s,), cfg)[s] - 1
+    return best_ranks(params, (s,), cfg, first_trial)[s] - 1
 
 
 def ideal_dim_bidegree(

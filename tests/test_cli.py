@@ -213,6 +213,32 @@ def test_oversized_scheme_exits_two_before_building_rows():
     assert "entry limit" in proc.stderr
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("scan", "--grid", "(1,7000,7000)"),
+        ("verify", "dictionary", "--grid", "(1,3000,3000)"),
+    ],
+)
+def test_oversized_s_range_exits_two_before_it_is_listed(args):
+    # the theorem range runs to s2 + 1, a number of thousands of digits here,
+    # so listing it would exhaust any memory; the cap keeps a regression
+    # from taking the machine with it
+    def cap_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (3 * 2**30, 3 * 2**30))
+
+    proc = subprocess.run(
+        CMD + list(args),
+        capture_output=True,
+        text=True,
+        timeout=60,
+        preexec_fn=cap_memory,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "entry limit" in proc.stderr
+
+
 def test_oversized_scheme_is_refused_before_its_basis_is_built(
     monkeypatch, capsys
 ):

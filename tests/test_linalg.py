@@ -1,7 +1,9 @@
 """Exact rank kernel: frozen values and algebraic invariances."""
 
+import operator
 from bisect import bisect_left
 from fractions import Fraction
+from math import gcd
 
 import numpy as np
 import pytest
@@ -19,9 +21,53 @@ from secantdim.linalg import (
     rank,
     rank_profile,
 )
+from secantdim.terracini import (
+    SampleConfig,
+    SegreVeroneseParams,
+    derived_seed,
+    sample_point_pairs,
+    tangent_block,
+)
 
 MOD = FieldConfig()
 RAT = FieldConfig(backend=EXACT_RATIONAL)
+
+
+def _normalize(row):
+    g = 0
+    for x in row:
+        g = gcd(g, x)
+    if g > 1:
+        row = [x // g for x in row]
+    return row
+
+
+def reference_pivots(rows):
+    """Pivot columns of a fraction-free echelon form over the integers,
+    gcd-normalized each step: the reference for the certified rank over Q."""
+    work = [_normalize([operator.index(x) for x in row]) for row in rows]
+    ncols = len(work[0]) if work else 0
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pivot = next((i for i in range(r, len(work)) if work[i][c]), -1)
+        if pivot < 0:
+            continue
+        work[r], work[pivot] = work[pivot], work[r]
+        prow = work[r]
+        lead = prow[c]
+        for i in range(r + 1, len(work)):
+            head = work[i][c]
+            if not head:
+                continue
+            work[i] = _normalize(
+                [lead * x - head * y for x, y in zip(work[i], prow)]
+            )
+        pivots.append(c)
+        r += 1
+        if r == len(work):
+            break
+    return pivots
 
 
 def test_default_modulus_is_the_largest_prime_below_2_30():
@@ -142,8 +188,92 @@ def test_rank_profile_gives_every_prefix_rank(matrix):
             assert bisect_left(profile, k) == rank(prefix, cfg)
 
 
+@st.composite
+def chosen_rank_matrices(draw):
+    """U @ V for random integer factors U (rows x k) and V (k x cols), so
+    the rank is at most k; wide entries exercise several limbs and signs."""
+    rows, cols = draw(st.integers(1, 9)), draw(st.integers(1, 9))
+    k = draw(st.integers(0, min(rows, cols)))
+    bound = draw(st.sampled_from([3, 2**20, 2**70]))
+    def factor(height, width):
+        row = st.lists(st.integers(-bound, bound), min_size=width, max_size=width)
+        return draw(st.lists(row, min_size=height, max_size=height))
+
+    u, v = factor(rows, k), factor(k, cols)
+    grid = [
+        [sum(u[i][t] * v[t][j] for t in range(k)) for j in range(cols)]
+        for i in range(rows)
+    ]
+    return grid, cols
+
+
+@settings(max_examples=300, deadline=None)
+@given(chosen_rank_matrices())
+def test_certified_rank_and_profile_match_the_reference(matrix):
+    grid, cols = matrix
+    mat = matrix_from_rows(grid, cols, RAT)
+    assert rank(mat, RAT) == len(reference_pivots(grid))
+    transpose = [list(col) for col in zip(*grid)]
+    assert rank_profile(mat, RAT) == reference_pivots(transpose)
+
+
+P = DEFAULT_MODULUS
+
+
+@pytest.mark.parametrize(
+    "grid, expected",
+    [
+        # rank_p 1: the first prime divides an entry
+        ([[P, 0], [0, 1]], 2),
+        # every entry a multiple of p: rank_p 0
+        ([[P, 2 * P, 3 * P], [4 * P, 5 * P, 6 * P]], 2),
+        # the only maximal minor is -3p; the 2 x 2 minors are not
+        ([[1, 2, 3], [4, 5, 6], [7, 8, 9 + P]], 3),
+    ],
+)
+def test_certificate_falls_back_when_the_first_prime_divides_a_minor(
+    grid, expected
+):
+    cols = len(grid[0])
+    assert rank(matrix_from_rows(grid, cols, MOD), MOD) < expected
+    mat = matrix_from_rows(grid, cols, RAT)
+    assert rank(mat, RAT) == len(reference_pivots(grid)) == expected
+    transpose = [list(col) for col in zip(*grid)]
+    assert rank_profile(mat, RAT) == reference_pivots(transpose)
+
+
+def test_certified_profile_keeps_the_order_of_the_rows():
+    # mod p the first row vanishes and the profile would read [1, 2]; the
+    # rank is 2 either way, so only the order tells the two apart
+    grid = [[P, 0], [0, 1], [1, 0]]
+    assert rank_profile(matrix_from_rows(grid, 2, MOD), MOD) == [1, 2]
+    assert rank_profile(matrix_from_rows(grid, 2, RAT), RAT) == [0, 1]
+
+
+@pytest.mark.parametrize(
+    "cell, s, expected",
+    [((2, 3, 2), 5, 29), ((4, 3, 2), 6, 47), ((2, 5, 2), 8, 62)],
+)
+def test_defect_candidates_have_their_rank_over_q(cell, s, expected):
+    # the tangent matrices of the three d = 2 defects at seed 0, trial 0,
+    # as the scan escalates them
+    params = SegreVeroneseParams(*cell)
+    cfg = SampleConfig(seed=derived_seed(0, *cell), field=RAT)
+    blocks = [
+        tangent_block(params, pt, RAT).entries
+        for pt in sample_point_pairs(params, s, cfg, 0)
+    ]
+    entries = np.vstack(blocks)
+    mat = Matrix(*entries.shape, entries)
+    assert rank(mat, RAT) == expected
+    profile = rank_profile(mat, RAT)
+    assert len(profile) == expected
+    # every point adds a block with one Euler-redundant row
+    assert bisect_left(profile, len(blocks[0])) == len(blocks[0]) - 1
+
+
 def test_exact_rank_refuses_a_fraction():
-    # exact elimination takes integer matrices only; int() would truncate
+    # exact rank takes integer matrices only; int() would truncate
     rows = [[Fraction(1, 2), 1], [1, 1]]
     with pytest.raises(TypeError):
         rank(matrix_from_rows(rows, 2, RAT), RAT)

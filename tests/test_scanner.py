@@ -1,13 +1,17 @@
 """Grid scans, verdicts, verification suites, report serialization."""
 
 import csv
+import dataclasses
 import io
 import json
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from secantdim.cli import main
 from secantdim.linalg import EXACT_RATIONAL, FieldConfig
 from secantdim.scanner import (
     CHECK_BASE_LOCUS,
@@ -21,8 +25,10 @@ from secantdim.scanner import (
     STATUS_OUT_CANDIDATE,
     STATUS_OUT_CERTIFIED,
     ScanGrid,
+    SecantRecord,
     VerifySummary,
     grid_from_ranges,
+    record_to_dict,
     records_to_csv,
     records_to_json,
     scan,
@@ -117,9 +123,10 @@ def test_scan_cell_escalates_in_one_exact_step(monkeypatch):
     real = scanner.secant_dimension
     calls = []
 
-    def counted(params, s, cfg):
+    def counted(params, s, cfg, **kwargs):
         calls.append(cfg)
-        return real(params, s, cfg)
+        assert kwargs == {"first_trial": 0}
+        return real(params, s, cfg, **kwargs)
 
     monkeypatch.setattr(scanner, "secant_dimension", counted)
     params = SegreVeroneseParams(2, 3, 2)
@@ -138,6 +145,39 @@ def test_scan_cell_defect_survives_exact_backend():
     cfg = SampleConfig(seed=0, trials=1, field=FieldConfig(backend=EXACT_RATIONAL))
     rec = scan_cell(SegreVeroneseParams(2, 3, 2), 5, cfg)
     assert rec.defect == 1
+
+
+@pytest.mark.parametrize(
+    "args, expected",
+    [
+        # the pass ranks trial 0, the escalation only trial 1
+        (("dim", "2", "3", "2", "5"), [("rank", 35)] * 2),
+        # the pass is one profile over trial 0, the escalation of s = 5
+        # ranks trial 1 alone
+        (("scan", "--grid", "(2,3,2)"), [("rank_profile", 49), ("rank", 35)]),
+    ],
+)
+def test_exact_pass_escalates_without_reranking_its_own_draws(
+    monkeypatch, capsys, args, expected
+):
+    eliminations = []
+
+    def counted(name):
+        real = getattr(terracini, name)
+
+        def eliminate(mat, cfg):
+            assert not cfg.is_modular
+            eliminations.append((name, mat.rows))
+            return real(mat, cfg)
+
+        return eliminate
+
+    for name in ("rank", "rank_profile"):
+        monkeypatch.setattr(terracini, name, counted(name))
+    assert main([*args, "--backend", "exact", "--trials", "1"]) == 0
+    records = json.loads(capsys.readouterr().out)
+    assert [r["defect"] for r in records if r["s"] == 5] == [1]
+    assert eliminations == expected
 
 
 def test_scan_cell_rejects_a_rank_above_the_parameter_count():
@@ -211,6 +251,41 @@ def test_csv_report_shape():
     assert rows[0] == list(RECORD_FIELDS)
     assert len(rows) == len(records) + 1
     assert rows[1][RECORD_FIELDS.index("inTheoremRange")] in ("true", "false")
+
+
+STATUSES = (
+    STATUS_CERTIFIED,
+    STATUS_CANDIDATE,
+    STATUS_OUT_CERTIFIED,
+    STATUS_OUT_CANDIDATE,
+)
+FIELD_VALUES = {"in_theorem_range": st.booleans(), "status": st.sampled_from(STATUSES)}
+secant_records = st.lists(
+    st.builds(
+        SecantRecord,
+        **{
+            f.name: FIELD_VALUES.get(f.name, st.integers())
+            for f in dataclasses.fields(SecantRecord)
+        },
+    ),
+    max_size=5,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(secant_records)
+def test_records_round_trip_through_json_and_agree_with_csv(rs):
+    payload = json.loads(records_to_json(rs))
+    assert payload == [record_to_dict(r) for r in rs]
+    assert all(list(entry) == list(RECORD_FIELDS) for entry in payload)
+    rows = list(csv.reader(io.StringIO(records_to_csv(rs))))
+    assert rows[0] == list(RECORD_FIELDS)
+    assert len(rows) == len(payload) + 1
+    for row, entry in zip(rows[1:], payload):
+        # an integer or a bool prints as its JSON literal, a status as itself
+        assert row == [
+            v if isinstance(v, str) else json.dumps(v) for v in entry.values()
+        ]
 
 
 def test_verify_dictionary_grid_counts():
