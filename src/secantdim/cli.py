@@ -19,6 +19,7 @@ from .scanner import (
     ALL_UP_TO,
     CHECK_CASTELNUOVO,
     CHECK_PROJECTION,
+    EXPLICIT,
     S_POLICIES,
     THEOREM_RANGE,
     ScanGrid,
@@ -28,7 +29,6 @@ from .scanner import (
     records_to_csv,
     records_to_json,
     scan,
-    scan_cell,
     summary_to_csv,
     summary_to_json,
     verify_dictionary_grid,
@@ -152,10 +152,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _parse_grids(args: argparse.Namespace) -> list[ScanGrid]:
-    """One single-cell grid per listed --grid cell, deduplicated and in
+    """The grids a command runs. dim n m d s is the one-cell grid with the
+    explicit s list (s,), so it runs as a scan of that cell. Otherwise: one
+    single-cell grid per listed --grid cell, deduplicated and in
     lexicographic order, or the one range grid. scan takes its s policy from
     the flags, with the distinct --s-list values; verify walks the theorem
     range."""
+    if args.command == "dim":
+        return [ScanGrid((args.n,), (args.m,), (args.d,), EXPLICIT, s_list=(args.s,))]
     if args.command == "scan":
         if args.s_margin is not None and args.s_policy != ALL_UP_TO:
             raise ValueError(f"--s-margin needs --s-policy {ALL_UP_TO}")
@@ -226,20 +230,11 @@ def main(argv: list[str] | None = None) -> int:
             trials=args.trials,
             field=FieldConfig(modulus=args.prime, backend=_BACKENDS[args.backend]),
         )
-        if args.command == "dim":
-            params = SegreVeroneseParams(args.n, args.m, args.d)
-            max_degree = args.d
-        else:
-            grids = _parse_grids(args)
-            max_degree = max(d for grid in grids for d in grid.d_values)
+        grids = _parse_grids(args)
+        max_degree = max(d for grid in grids for d in grid.d_values)
         if args.prime <= max_degree + 1:
             raise ValueError("prime must exceed d+1 for every requested d")
-        if args.command == "dim":
-            record = scan_cell(params, args.s, cfg)
-            render = records_to_json if args.format == "json" else records_to_csv
-            _emit(render([record]), args.output)
-            return 0
-        if args.command == "scan":
+        if args.command in ("dim", "scan"):
             records = [r for grid in grids for r in scan(grid, cfg)]
             render = records_to_json if args.format == "json" else records_to_csv
             _emit(render(records), args.output)
@@ -254,10 +249,7 @@ def main(argv: list[str] | None = None) -> int:
             verify_dictionary_grid(grid, cfg)
             if args.target == "dictionary"
             else verify_theorem_suite(
-                grid,
-                cfg,
-                checks=_SUITE_CHECKS[args.target],
-                **ranges,
+                grid, cfg, checks=_SUITE_CHECKS[args.target], **ranges
             )
             for grid in grids
         ]

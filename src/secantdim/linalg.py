@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from math import isqrt, prod
+from math import isqrt, log10, prod
 from typing import Sequence
 
 import numpy as np
@@ -142,11 +142,20 @@ def require_headroom(cfg: FieldConfig, degree: int) -> None:
         )
 
 
+def brief(value: int | tuple[int, ...]) -> str:
+    """An integer, or a tuple of them, as a refusal prints it: in full up to
+    20 digits, longer ones by size, ~10^k (log10 reads the binary length;
+    str() refuses an integer past 4300 digits)."""
+    if isinstance(value, tuple):
+        return "(" + ", ".join(map(brief, value)) + ")"
+    return str(value) if value < 10**20 else f"~10^{int(log10(value))}"
+
+
 def check_size(rows: int, cols: int, what: str) -> None:
     """Refuse, before any row is built, a matrix above MAX_MATRIX_ENTRIES."""
     if rows * cols > MAX_MATRIX_ENTRIES:
         raise ValueError(
-            f"{what} needs a {rows} x {cols} matrix, above the "
+            f"{what} needs a {brief(rows)} x {brief(cols)} matrix, above the "
             f"{MAX_MATRIX_ENTRIES} entry limit"
         )
 

@@ -14,6 +14,9 @@ matrix has at least its modular rank over Q, so this step settles
 everything a doubled modular run could, and
 only a shortfall that survives it is a defect candidate. Certification never
 needs escalation because a modular rank cannot overshoot.
+
+The theorem suite splits each case across H once, by castelnuovo_check, and
+its base-locus and projection checks read their dimensions from that split.
 """
 
 from __future__ import annotations
@@ -24,17 +27,19 @@ from functools import cached_property
 from typing import Iterator, Sequence
 
 from .expected import defect, expected_scheme_dim, thresholds
+from .linalg import brief, check_size
 from .schemes import (
     CastelnuovoCheck,
     DictionaryCheck,
-    ProjectionCheck,
-    ResidualTracePair,
     SchemeSpec,
+    _row_bound,
     add_v_spans,
     best_scheme_dimension,
+    castelnuovo_check,
     projected_scheme,
     residual_trace,
     sample_scheme,
+    scheme_basis_size,
     scheme_ideal_dimension,
     scheme_to_dict,
     verify_dictionary,
@@ -285,7 +290,8 @@ def verify_theorem_suite(
     s = (n+1)q; then per t: the closed-form scheme dimension, invariance
     under attaching base-locus spans, the residual/trace bound, and the
     projection onto P^m. Failures carry the offending configuration in JSON
-    form.
+    form. A cell is refused before its first case if its largest case, with
+    every double point spanned, is too large to build.
     """
     unknown = set(checks) - set(ALL_CHECKS)
     if unknown:
@@ -301,6 +307,13 @@ def verify_theorem_suite(
         if d < 3:
             continue
         params = SegreVeroneseParams(n, m, d)
+        frame = SchemeSpec(n, m, d, fat_h1=d, include_h2=True)
+        s_max = (n + 1) * q_max
+        check_size(
+            _row_bound(frame, d + 1, doubles=s_max, spans=s_max + t_max),
+            scheme_basis_size(frame, d + 1),
+            f"q = {brief(q_max)}, t = {brief(t_max)} at {brief((n, m, d))}",
+        )
         for q in range(1, q_max + 1):
             failures += _run_checks(_Case(params, q, None, cfg), per_q)
             for t in range(0, t_max + 1):
@@ -312,7 +325,9 @@ def verify_theorem_suite(
 @dataclass(frozen=True)
 class _Case:
     """One configuration of the theorem suite: s = (n+1)q double points and
-    t spans; t is None for the checks run once per q."""
+    t spans; t is None for the checks run once per q. The base-locus and
+    projection checks read the spanned and residual dimensions from its
+    castelnuovo_check, so each scheme dimension is computed once."""
 
     params: SegreVeroneseParams
     q: int
@@ -342,23 +357,9 @@ class _Case:
         return add_v_spans(self.scheme)
 
     @cached_property
-    def split(self) -> ResidualTracePair:
-        """The spanned configuration split across the hyperplane."""
-        return residual_trace(self.spanned, self.params.d + 1)
-
-    @cached_property
-    def _dimensions(self) -> dict[tuple[SchemeSpec, int], int]:
-        return {}
-
-    def dimension(self, spec: SchemeSpec, degree: int) -> int:
-        """scheme_ideal_dimension, computed once per (spec, degree) of this
-        case; the memo lives and dies with the case."""
-        key = (spec, degree)
-        if key not in self._dimensions:
-            self._dimensions[key] = scheme_ideal_dimension(
-                spec, degree, self.cfg.field
-            )
-        return self._dimensions[key]
+    def castelnuovo(self) -> CastelnuovoCheck:
+        """The spanned configuration in degree d+1, split across H."""
+        return castelnuovo_check(self.spanned, self.params.d + 1, self.cfg.field)
 
 
 def _run_checks(case: _Case, names: Sequence[str]) -> list[dict]:
@@ -392,21 +393,15 @@ def _check_formula(case: _Case) -> dict | None:
 
 
 def _check_base_locus(case: _Case) -> dict | None:
-    degree = case.params.d + 1
-    before = case.dimension(case.scheme, degree)
-    after = case.dimension(case.spanned, degree)
+    before = scheme_ideal_dimension(case.scheme, case.params.d + 1, case.cfg.field)
+    after = case.castelnuovo.total
     if before == after:
         return None
     return {"before": before, "after": after, "scheme": scheme_to_dict(case.scheme)}
 
 
 def _check_castelnuovo(case: _Case) -> dict | None:
-    split = case.split
-    check = CastelnuovoCheck(
-        case.dimension(case.spanned, case.params.d + 1),
-        case.dimension(split.residual, split.residual_degree),
-        case.dimension(split.trace, split.trace_degree),
-    )
+    check = case.castelnuovo
     if check.holds:
         return None
     return {
@@ -418,18 +413,15 @@ def _check_castelnuovo(case: _Case) -> dict | None:
 
 
 def _check_projection(case: _Case) -> dict | None:
-    residual = case.split.residual
+    residual = residual_trace(case.spanned, case.params.d + 1).residual
+    residual_dim = case.castelnuovo.residual
     projected = projected_scheme(residual)
-    check = ProjectionCheck(
-        projected,
-        case.dimension(residual, residual.d),
-        case.dimension(projected, residual.d),
-    )
-    if check.equal:
+    projected_dim = scheme_ideal_dimension(projected, residual.d, case.cfg.field)
+    if residual_dim == projected_dim:
         return None
     return {
-        "residual_dim": check.residual_dim,
-        "projected_dim": check.projected_dim,
+        "residual_dim": residual_dim,
+        "projected_dim": projected_dim,
         "scheme": scheme_to_dict(residual),
     }
 

@@ -303,16 +303,19 @@ def span_rows(
     return rows[present].tolist()
 
 
-def _row_bound(spec: SchemeSpec, degree: int) -> int:
-    """Most condition rows the configuration can impose in degree.
+def _row_bound(
+    spec: SchemeSpec, degree: int, doubles: int | None = None, spans: int | None = None
+) -> int:
+    """Most condition rows the configuration, or doubles double points and
+    spans spans on its frame, can impose in degree.
 
     A span's rows are chart monomials mu^gamma with |gamma| at most the
     a-degree of a basis monomial, which the flag caps at degree - fat_h1.
     """
-    nvars = spec.n + spec.m + 1
-    spans = len(spec.w_anchors) + len(spec.v_spans)
+    doubles = len(spec.double_points) if doubles is None else doubles
+    spans = len(spec.w_anchors) + len(spec.v_spans) if spans is None else spans
     per_span = comb(degree - spec.fat_h1 + spec.n, spec.n)
-    points = nvars * len(spec.double_points) + len(spec.simple_points)
+    points = (spec.n + spec.m + 1) * doubles + len(spec.simple_points)
     return points + spans * per_span
 
 

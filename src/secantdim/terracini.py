@@ -22,6 +22,7 @@ from .linalg import (
     DEFAULT_FIELD,
     FieldConfig,
     Matrix,
+    brief,
     check_size,
     matrix_from_rows,
     rank,
@@ -50,7 +51,7 @@ class SegreVeroneseParams:
         if _count_exceeds(self.n, self.m, self.d, _MAX_COUNT):
             raise ValueError(
                 f"(n+1)C(m+d, d) has more than {MAX_COUNT_DIGITS} digits "
-                f"at (n, m, d) = ({self.n}, {self.m}, {self.d})"
+                f"at (n, m, d) = {brief((self.n, self.m, self.d))}"
             )
 
     @property
@@ -203,7 +204,7 @@ def best_ranks(
     check_size(
         wanted[-1] * block,
         params.coefficient_count,
-        f"s = {wanted[-1]} at {(params.n, params.m, params.d)}",
+        f"s = {brief(wanted[-1])} at {brief((params.n, params.m, params.d))}",
     )
     monos = bihomogeneous_basis(params.n, params.m, 1, params.d).combined()
     best = dict.fromkeys(wanted, 0)

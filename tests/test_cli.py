@@ -155,6 +155,21 @@ def test_help_exits_zero():
     assert "thresholds" in proc.stdout
 
 
+@pytest.mark.parametrize(
+    "command, flags",
+    [
+        ("dim", ("--prime", "--trials", "--backend", "--format")),
+        ("thresholds", ("--format", "--output")),
+        ("scan", ("--grid", "--s-policy", "--s-list", "--s-margin")),
+        ("verify", ("--grid", "--q-max", "--t-max", "--seed")),
+    ],
+)
+def test_subcommand_help_lists_its_flags(command, flags):
+    proc = run_cli(command, "--help")
+    assert proc.returncode == 0
+    assert all(flag in proc.stdout for flag in flags)
+
+
 def _main_json(capsys, *args):
     assert main(list(args)) == 0
     return json.loads(capsys.readouterr().out)
@@ -218,12 +233,14 @@ def test_oversized_scheme_exits_two_before_building_rows():
     [
         ("scan", "--grid", "(1,7000,7000)"),
         ("verify", "dictionary", "--grid", "(1,3000,3000)"),
+        ("dim", "1", "2", "3", "9" * 4000),
     ],
 )
 def test_oversized_s_range_exits_two_before_it_is_listed(args):
     # the theorem range runs to s2 + 1, a number of thousands of digits here,
     # so listing it would exhaust any memory; the cap keeps a regression
-    # from taking the machine with it
+    # from taking the machine with it. The refusal prints such numbers by
+    # their size.
     def cap_memory():
         resource.setrlimit(resource.RLIMIT_AS, (3 * 2**30, 3 * 2**30))
 
@@ -233,6 +250,29 @@ def test_oversized_s_range_exits_two_before_it_is_listed(args):
         text=True,
         timeout=60,
         preexec_fn=cap_memory,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "entry limit" in proc.stderr
+    assert len(proc.stderr) < 300
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("theorem", "--q-max", "99999999999"),
+        ("theorem", "--t-max", "99999999999"),
+        ("castelnuovo", "--q-max", "99999999999", "--t-max", "0"),
+    ],
+)
+def test_oversized_q_or_t_range_exits_two_before_the_first_case(args):
+    # the largest case is sized from counts before any case runs; case by
+    # case, a refusal would come only after hundreds of thousands of cases
+    proc = subprocess.run(
+        CMD + ["verify", args[0], "--grid", "(1,1,3)", *args[1:]],
+        capture_output=True,
+        text=True,
+        timeout=20,
     )
     assert proc.returncode == 2
     assert proc.stdout == ""
@@ -260,6 +300,7 @@ def test_oversized_scheme_is_refused_before_its_basis_is_built(
         ("dim", "1", "3000000", "3000000", "1"),
         ("thresholds", "1", "3000000", "3000000"),
         ("scan", "--grid", "(1,3000000,3000000)"),
+        ("thresholds", "1", "9" * 4000, "3"),
     ],
 )
 def test_count_too_long_to_print_exits_two_at_once(args):
@@ -268,6 +309,29 @@ def test_count_too_long_to_print_exits_two_at_once(args):
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert "digits" in proc.stderr
+    assert len(proc.stderr) < 300
+
+
+@pytest.mark.parametrize(
+    "cell, flags",
+    [
+        ((1, 2, 3, 4), ()),
+        ((1, 2, 3, 4), ("--format", "csv")),
+        # a defect over Q, escalated
+        ((2, 3, 2, 5), ()),
+        ((2, 3, 2, 5), ("--backend", "exact", "--trials", "1")),
+        # special draws over GF(11), settled on escalation
+        ((1, 1, 4, 3), ("--prime", "11", "--trials", "1")),
+    ],
+)
+def test_dim_prints_the_scan_of_its_cell(capsys, cell, flags):
+    n, m, d, s = map(str, cell)
+    assert main(["dim", n, m, d, s, *flags]) == 0
+    alone = capsys.readouterr().out
+    args = ["scan", "--grid", f"({n},{m},{d})", "--s-policy", "explicit",
+            "--s-list", s, *flags]
+    assert main(args) == 0
+    assert alone == capsys.readouterr().out
 
 
 def test_repeated_s_list_values_give_one_record_each(capsys):

@@ -15,6 +15,7 @@ from secantdim.linalg import (
     EXACT_RATIONAL,
     FieldConfig,
     Matrix,
+    brief,
     ideal_dimension,
     is_prime,
     matrix_from_rows,
@@ -300,3 +301,12 @@ def test_to_rational_keeps_the_sampling_range():
     exact = cfg.to_rational()
     assert exact.modulus == 101
     assert not exact.is_modular
+
+
+def test_brief_prints_long_integers_by_size():
+    assert brief(739024) == "739024"
+    assert brief(10**20 - 1) == "9" * 20
+    assert brief(10**20) == "~10^20"
+    # str() refuses an integer this long
+    assert brief(10**5000) == "~10^5000"
+    assert brief((1, 10**4213, 3)) == "(1, ~10^4213, 3)"
