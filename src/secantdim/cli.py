@@ -44,16 +44,29 @@ _SUITE_CHECKS = {
 }
 
 
+def integer(text: str) -> int:
+    """An integer argument. A string longer than Python converts to int (4300
+    digits by default) is refused by its length: int() would raise, and the
+    refusal would echo the whole string."""
+    limit = sys.get_int_max_str_digits()
+    if limit and len(text) > limit:
+        raise argparse.ArgumentTypeError(
+            f"{len(text)} characters, more than the {limit} digits an integer "
+            "may have"
+        )
+    return int(text)
+
+
 def _add_sampling_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--prime",
-        type=int,
+        type=integer,
         default=DEFAULT_MODULUS,
         help="field characteristic (prime, must exceed d+1)",
     )
-    parser.add_argument("--seed", type=int, default=0, help="master RNG seed")
+    parser.add_argument("--seed", type=integer, default=0, help="master RNG seed")
     parser.add_argument(
-        "--trials", type=int, default=2, help="independent draws per cell"
+        "--trials", type=integer, default=2, help="independent draws per cell"
     )
     parser.add_argument(
         "--backend",
@@ -79,10 +92,10 @@ def _add_grid_flags(parser: argparse.ArgumentParser) -> None:
         help='explicit cells separated by ";", e.g. "(1,2,3);(2,1,3)" '
         "(overrides the ranges)",
     )
-    parser.add_argument("--n-max", type=int, default=1)
-    parser.add_argument("--m-max", type=int, default=1)
-    parser.add_argument("--d-min", type=int, default=3)
-    parser.add_argument("--d-max", type=int, default=3)
+    parser.add_argument("--n-max", type=integer, default=1)
+    parser.add_argument("--m-max", type=integer, default=1)
+    parser.add_argument("--d-min", type=integer, default=3)
+    parser.add_argument("--d-max", type=integer, default=3)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -95,28 +108,41 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_dim = sub.add_parser("dim", help="dimension record for one cell")
-    p_dim.add_argument("n", type=int)
-    p_dim.add_argument("m", type=int)
-    p_dim.add_argument("d", type=int)
-    p_dim.add_argument("s", type=int)
+    # short usage lines: a refusal prints one, and -h lists every option
+    p_dim = sub.add_parser(
+        "dim",
+        help="dimension record for one cell",
+        usage="%(prog)s n m d s [options]",
+    )
+    p_dim.add_argument("n", type=integer)
+    p_dim.add_argument("m", type=integer)
+    p_dim.add_argument("d", type=integer)
+    p_dim.add_argument("s", type=integer)
     _add_sampling_flags(p_dim)
     _add_report_flags(p_dim)
 
-    p_thr = sub.add_parser("thresholds", help="certification thresholds s1, s2")
-    p_thr.add_argument("n", type=int)
-    p_thr.add_argument("m", type=int)
-    p_thr.add_argument("d", type=int)
+    p_thr = sub.add_parser(
+        "thresholds",
+        help="certification thresholds s1, s2",
+        usage="%(prog)s n m d [options]",
+    )
+    p_thr.add_argument("n", type=integer)
+    p_thr.add_argument("m", type=integer)
+    p_thr.add_argument("d", type=integer)
     _add_report_flags(p_thr)
 
-    p_scan = sub.add_parser("scan", help="scan a grid and report every cell")
+    p_scan = sub.add_parser(
+        "scan",
+        help="scan a grid and report every cell",
+        usage="%(prog)s [options]",
+    )
     _add_grid_flags(p_scan)
     p_scan.add_argument(
         "--s-policy", choices=S_POLICIES, default=THEOREM_RANGE
     )
     p_scan.add_argument(
         "--s-margin",
-        type=int,
+        type=integer,
         default=None,
         help="extra s past s2 (all-up-to only)",
     )
@@ -128,20 +154,24 @@ def build_parser() -> argparse.ArgumentParser:
     _add_sampling_flags(p_scan)
     _add_report_flags(p_scan)
 
-    p_ver = sub.add_parser("verify", help="run a verification suite")
+    p_ver = sub.add_parser(
+        "verify",
+        help="run a verification suite",
+        usage="%(prog)s {dictionary,theorem,castelnuovo} [options]",
+    )
     p_ver.add_argument(
         "target", choices=("dictionary", "theorem", "castelnuovo")
     )
     _add_grid_flags(p_ver)
     p_ver.add_argument(
         "--q-max",
-        type=int,
+        type=integer,
         default=None,
         help="largest q, s = (n+1)q, at least 1 (theorem and castelnuovo only)",
     )
     p_ver.add_argument(
         "--t-max",
-        type=int,
+        type=integer,
         default=None,
         help="largest span count t, at least 0 (theorem and castelnuovo only)",
     )

@@ -32,9 +32,10 @@ BACKENDS = (MODULAR, EXACT_RATIONAL)
 # Largest prime below 2^30: leaves headroom for 64-bit multiply-accumulate.
 DEFAULT_MODULUS = 1073741789
 
-# Largest condition matrix a caller may build, in entries. Rows, the matrix
-# and its elimination peak near 60 bytes per entry on the modular path
-# (tracemalloc: 57 at (3,3,4), s = 21), so this caps a matrix near 1.4 GB.
+# Largest condition matrix a caller may build, in entries. The row array
+# (which the matrix keeps) and its elimination peak near 36 bytes per entry
+# on the modular path (tracemalloc over one trial: 36 at (3,3,4), s = 21, and
+# 32 at (5,5,5), s = 135), so this caps a matrix near 0.9 GB.
 MAX_MATRIX_ENTRIES = 24_000_000
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -181,10 +182,17 @@ class Matrix:
 
 
 def matrix_from_rows(
-    rows: Sequence[Sequence[int]], cols: int, cfg: FieldConfig
+    rows: np.ndarray | Sequence[Sequence[int]], cols: int, cfg: FieldConfig
 ) -> Matrix:
-    """Assemble a Matrix, reducing every entry to canonical form."""
-    entries = cfg.array(rows) if len(rows) else np.zeros((0, cols), cfg.dtype)
+    """Assemble a Matrix from rows of integers, reducing every entry to
+    canonical form. An array of cfg's dtype, as the row kernels return, is
+    taken as canonical and kept as it is."""
+    if isinstance(rows, np.ndarray) and rows.dtype == cfg.dtype:
+        entries = rows
+    elif len(rows):
+        entries = cfg.array(rows)
+    else:
+        entries = np.zeros((0, cols), cfg.dtype)
     if entries.shape != (len(rows), cols):
         raise ValueError("ragged row in matrix construction")
     return Matrix(len(rows), cols, entries)

@@ -4,12 +4,14 @@ Exponent vectors are plain tuples, one entry per variable, with the x-block
 before the y-block. Enumeration is lexicographic, descending on the leading
 variable, so column indexing is reproducible across runs and backends.
 
-The row builders are numpy kernels. A basis becomes gather indices into a
-flattened power table once (a small cache keyed by the basis); each point
-gets one power table of canonical scalars (int64 residues for GF(p), Python
-integers for Q). A value row is the product over the variables of one
-gather each, and the partial rows use the lowered exponents E - e_v scaled
-by E[:, v]. The tests check the kernels against a scalar reference.
+The row builders are numpy kernels that take every point of a matrix at
+once, as a 2-D stack with one point per row; one point is the one-row case.
+A basis becomes gather indices into a flattened power table once (a small
+cache keyed by the basis); the whole stack gets one power table of canonical
+scalars (int64 residues for GF(p), Python integers for Q), and a kernel
+returns one array of them. A value row is the product over the variables of
+one gather each, and the partial rows use the lowered exponents E - e_v
+scaled by E[:, v]. The tests check the kernels against a scalar reference.
 """
 
 from __future__ import annotations
@@ -108,62 +110,81 @@ def _exponents(monomials: tuple[ExponentVector, ...]) -> _Exponents:
     return _Exponents(width, *map(frozen_array, arrays))
 
 
+_python_int = np.frompyfunc(int, 1, 1)
+
+
 def power_table(
-    point: Sequence[int], maxdeg: int, cfg: FieldConfig
+    point: Sequence[int] | Sequence[Sequence[int]], maxdeg: int, cfg: FieldConfig
 ) -> np.ndarray:
-    """table[v, e] = point[v]^e for e <= maxdeg, as canonical scalars."""
-    coords = cfg.array([int(c) for c in point])
-    table = np.empty((len(coords), maxdeg + 1), dtype=cfg.dtype)
-    table[:, 0] = 1
+    """table[..., v, e] = point[..., v]^e for e <= maxdeg, as canonical
+    scalars; point holds integers in an array of shape (..., nvars)."""
+    coords = cfg.array(point)
+    if coords.dtype == object:
+        # Python integers, whatever the input held, so no power overflows
+        coords = _python_int(coords)
+    table = np.empty(coords.shape + (maxdeg + 1,), dtype=cfg.dtype)
+    table[..., 0] = 1
     for e in range(1, maxdeg + 1):
-        table[:, e] = cfg.reduce(table[:, e - 1] * coords)
+        table[..., e] = cfg.reduce(table[..., e - 1] * coords)
     return table
 
 
 def _gather(
-    monomials: Sequence[ExponentVector], point: Sequence[int], cfg: FieldConfig
-) -> tuple[_Exponents, np.ndarray]:
-    """The basis layout and the flattened power table of the point."""
+    monomials: Sequence[ExponentVector],
+    point: Sequence[int] | Sequence[Sequence[int]],
+    cfg: FieldConfig,
+) -> tuple[_Exponents, np.ndarray, tuple[int, ...]]:
+    """The basis layout, the power tables of the points flattened to one row
+    per point, and the shape of the stack less its coordinate axis."""
     exps = _exponents(tuple(monomials))
-    if exps.scale.shape[0] != len(point):
+    table = power_table(point, exps.width - 1, cfg)
+    if table.ndim < 2 or table.shape[-2] != exps.scale.shape[0]:
         raise ValueError("point length does not match the variable count")
-    return exps, power_table(point, exps.width - 1, cfg).ravel()
+    lead = table.shape[:-2]
+    return exps, table.reshape(-1, table.shape[-2] * exps.width), lead
 
 
 def evaluation_row(
-    monomials: Sequence[ExponentVector], point: Sequence[int], cfg: FieldConfig
-) -> list[int]:
-    """Values of every monomial at one point, in basis order.
+    monomials: Sequence[ExponentVector],
+    point: Sequence[int] | Sequence[Sequence[int]],
+    cfg: FieldConfig,
+) -> np.ndarray:
+    """Values of every monomial at each point, in basis order: one row per
+    point of a 2-D stack, or one 1-D row for one point.
 
-    One gather per variable from the point's power table, multiplied out.
+    One gather per variable from the power tables, multiplied out.
     """
     if not monomials:
-        return []
-    exps, table = _gather(monomials, point, cfg)
-    return cfg.product(table[exps.value]).tolist()
+        return np.zeros(np.shape(point)[:-1] + (0,), dtype=cfg.dtype)
+    exps, table, lead = _gather(monomials, point, cfg)
+    values = cfg.product(np.moveaxis(table[:, exps.value], 1, 0))
+    return values.reshape(lead + (len(monomials),))
 
 
 def derivative_rows(
-    monomials: Sequence[ExponentVector], point: Sequence[int], cfg: FieldConfig
-) -> list[list[int]]:
-    """One row per variable: each monomial's partial derivative at the point.
+    monomials: Sequence[ExponentVector],
+    point: Sequence[int] | Sequence[Sequence[int]],
+    cfg: FieldConfig,
+) -> np.ndarray:
+    """Each monomial's first partials at every point, one row per variable.
 
+    point is one point or a 2-D stack of points, one per row; the rows run
+    point by point, each point's nvars partials together in variable order.
     The partial in v is E[:, v] times the product over u of
-    point[u]^(E - e_v)[:, u]: the lowered power in v, and every other
-    variable's power, taken as a product of prefix and suffix products of
-    the per-variable gathers.
+    point[u]^(E - e_v)[:, u]: the lowered power in v, times the running
+    products of every other variable's power from either side.
     """
     if not monomials:
-        return [[] for _ in point]
-    exps, table = _gather(monomials, point, cfg)
-    values = table[exps.value]
-    nvars, cols = values.shape
-    ones = np.ones((1, cols), dtype=values.dtype)
-    # before[v] = prod_{u < v} values[u], after[v] = prod_{u > v} values[u]
-    before = np.concatenate([ones, values[:-1]])
-    after = np.concatenate([values[1:], ones])
-    for v in range(1, nvars):
-        before[v] = cfg.reduce(before[v] * before[v - 1])
-        after[-1 - v] = cfg.reduce(after[-1 - v] * after[-v])
-    rows = cfg.reduce(exps.scale * table[exps.lowered])
-    return cfg.reduce(cfg.reduce(rows * before) * after).tolist()
+        return np.zeros((int(np.prod(np.shape(point))), 0), dtype=cfg.dtype)
+    exps, table, _ = _gather(monomials, point, cfg)
+    nvars, cols = exps.scale.shape
+    values = table[:, exps.value]
+    rows = cfg.reduce(exps.scale * table[:, exps.lowered])
+    # row v takes every other variable's power: a running product over the
+    # variables before v, then one over the variables after it
+    for order in (range(nvars), range(nvars - 1, -1, -1)):
+        acc = values[:, order[0]]
+        for v in order[1:]:
+            rows[:, v] = cfg.reduce(rows[:, v] * acc)
+            acc = cfg.reduce(acc * values[:, v])
+    return rows.reshape(-1, cols)

@@ -267,40 +267,48 @@ def _chart_terms(basis: tuple[ExponentVector, ...], n: int) -> _ChartTerms:
 def span_rows(
     basis: Sequence[ExponentVector],
     n: int,
-    anchor: Sequence[int],
+    anchors: Sequence[int] | Sequence[Sequence[int]],
     cfg: FieldConfig,
-) -> list[list[int]]:
-    """Conditions for vanishing on span(H1, anchor), by exact restriction.
+) -> np.ndarray:
+    """Conditions for vanishing on span(H1, q) for each anchor q, by exact
+    restriction.
 
-    A point of the span is (mu + lam * qa, lam * qb) with chart coordinates
+    anchors is one anchor or a 2-D stack of them, one per row. A point of the
+    span is (mu + lam * qa, lam * qb) with chart coordinates
     (mu_0..mu_{n-1}, lam). Expanding a^alpha b^beta there gives, for each
     gamma <= alpha, the chart monomial mu^gamma with coefficient
     prod_i C(alpha_i, gamma_i) qa_i^(alpha_i - gamma_i) times qb^beta. The
-    term layout of a basis is computed once; per anchor, the qa and qb
-    powers come from one power table and are scattered into one array.
-    One row is emitted per chart monomial with a nonzero qa-coefficient, in
-    reverse lexicographic order of gamma; a form contains the span iff all
-    rows annihilate its coefficient vector. No sampling on the span is
-    involved.
+    term layout of a basis is computed once; the qa and qb powers of every
+    anchor come from one power table and are scattered into one array. The
+    rows run anchor by anchor, each anchor's in reverse lexicographic order
+    of gamma, one per chart monomial with a nonzero qa-coefficient; a form
+    contains the span iff all rows annihilate its coefficient vector. No
+    sampling on the span is involved.
     """
     if n < 1:
         raise ValueError("span needs a nonempty a-block")
-    anchor = tuple(int(c) for c in anchor)
-    if not any(anchor[n:]):
+    # the coordinates as given: one can be a nonzero multiple of the modulus
+    anchors = np.array(anchors, dtype=object)
+    anchors = anchors.reshape(-1, anchors.shape[-1])
+    if not (anchors[:, n:] != 0).any(axis=1).all():
         raise ValueError("span anchor lies on H1")
     if not basis:
-        return []
+        return np.zeros((0, 0), dtype=cfg.dtype)
+    if anchors.shape[1] != len(basis[0]):
+        raise ValueError("anchor length does not match the variable count")
     terms = _chart_terms(tuple(basis), n)
-    table = power_table(anchor, terms.width - 1, cfg).ravel()
+    table = power_table(anchors, terms.width - 1, cfg).reshape(len(anchors), -1)
     coeffs = cfg.reduce(
-        cfg.array(terms.multinomial) * cfg.product(table[terms.lowered])
+        cfg.array(terms.multinomial)
+        * cfg.product(np.moveaxis(table[:, terms.lowered], 1, 0))
     )
-    bvals = cfg.product(table[terms.beta])
-    rows = np.zeros((terms.rows, len(basis)), dtype=cfg.dtype)
-    rows[terms.row, terms.column] = cfg.reduce(coeffs * bvals[terms.column])
-    present = np.zeros(terms.rows, dtype=bool)
-    present[terms.row[coeffs != 0]] = True
-    return rows[present].tolist()
+    bvals = cfg.product(np.moveaxis(table[:, terms.beta], 1, 0))
+    rows = np.zeros((len(anchors), terms.rows, len(basis)), dtype=cfg.dtype)
+    rows[:, terms.row, terms.column] = cfg.reduce(coeffs * bvals[:, terms.column])
+    present = np.zeros((len(anchors), terms.rows), dtype=bool)
+    which, term = np.nonzero(coeffs != 0)
+    present[which, terms.row[term]] = True
+    return rows[present]
 
 
 def _row_bound(
@@ -322,7 +330,13 @@ def _row_bound(
 def scheme_ideal_dimension(
     spec: SchemeSpec, degree: int, cfg: FieldConfig
 ) -> int:
-    """Exact dimension of the degree piece of the configuration's ideal."""
+    """Exact dimension of the degree piece of the configuration's ideal.
+
+    The condition matrix takes one row-kernel call per kind of row: every
+    double point at once, then every simple point, then every span (free
+    anchors first, then the spans at listed points). The blocks are stacked
+    in that order and eliminated once.
+    """
     require_headroom(cfg, degree)
     size = scheme_basis_size(spec, degree)
     if not size:
@@ -333,17 +347,20 @@ def scheme_ideal_dimension(
         f"the degree-{degree} piece of a scheme at {(spec.n, spec.m, spec.d)}",
     )
     basis = scheme_basis(spec, degree)
-    rows: list[list[int]] = []
+    anchors = spec.w_anchors + tuple(
+        _combined_point(spec, idx) for idx in spec.v_spans
+    )
     # a double point imposes every first partial; by Euler its value row is
     # a combination of them, since the modulus exceeds the degree
-    for pt in spec.double_points:
-        rows.extend(derivative_rows(basis, pt.coords, cfg))
-    for coords in spec.simple_points:
-        rows.append(evaluation_row(basis, coords, cfg))
-    for anchor in spec.w_anchors:
-        rows.extend(span_rows(basis, spec.n, anchor, cfg))
-    for idx in spec.v_spans:
-        rows.extend(span_rows(basis, spec.n, _combined_point(spec, idx), cfg))
+    blocks = []
+    if spec.double_points:
+        coords = [pt.coords for pt in spec.double_points]
+        blocks.append(derivative_rows(basis, coords, cfg))
+    if spec.simple_points:
+        blocks.append(evaluation_row(basis, spec.simple_points, cfg))
+    if anchors:
+        blocks.append(span_rows(basis, spec.n, anchors, cfg))
+    rows = np.concatenate(blocks) if blocks else []
     return ideal_dimension(matrix_from_rows(rows, len(basis), cfg), cfg)
 
 

@@ -216,9 +216,10 @@ def best_ranks(
         ]
         if not open_s:
             break
-        rows: list[list[int]] = []
-        for pt in sample_point_pairs(params, open_s[-1], cfg, trial):
-            rows.extend(derivative_rows(monos, pt.p + pt.q, cfg.field))
+        points = [
+            pt.p + pt.q for pt in sample_point_pairs(params, open_s[-1], cfg, trial)
+        ]
+        rows = derivative_rows(monos, points, cfg.field)
         mat = matrix_from_rows(rows, len(monos), cfg.field)
         if len(open_s) == 1:
             # one s needs only the rank of the whole matrix

@@ -301,6 +301,9 @@ def test_oversized_scheme_is_refused_before_its_basis_is_built(
         ("thresholds", "1", "3000000", "3000000"),
         ("scan", "--grid", "(1,3000000,3000000)"),
         ("thresholds", "1", "9" * 4000, "3"),
+        # past 4300 digits int() itself refuses; the refusal must not echo
+        ("dim", "1", "2", "3", "9" * 5000),
+        ("verify", "theorem", "--grid", "(1,1,3)", "--q-max", "9" * 5000),
     ],
 )
 def test_count_too_long_to_print_exits_two_at_once(args):

@@ -2,6 +2,7 @@
 
 from math import comb
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -161,11 +162,55 @@ FIELDS = (MOD, FieldConfig(modulus=7), RAT, FieldConfig(modulus=7).to_rational()
 def test_row_kernels_match_the_scalar_reference(case, cfg):
     monos, point = case
     rows = derivative_rows(monos, point, cfg)
-    assert rows == [
+    assert rows.tolist() == [
         [partial_eval(mono, var, point, cfg) for mono in monos]
         for var in range(len(point))
     ]
     values = evaluation_row(monos, point, cfg)
-    assert values == [monomial_eval(mono, point, cfg) for mono in monos]
-    # plain Python integers, never numpy scalars
-    assert all(type(x) is int for row in rows + [values] for x in row)
+    assert values.tolist() == [monomial_eval(mono, point, cfg) for mono in monos]
+    assert_canonical_scalars(rows, cfg)
+    assert_canonical_scalars(values, cfg)
+
+
+def assert_canonical_scalars(array, cfg):
+    """int64 residues over GF(p); over Q, plain Python integers, never numpy
+    scalars, whose products would overflow."""
+    if cfg.is_modular:
+        assert array.dtype == np.int64
+        assert ((0 <= array) & (array < cfg.modulus)).all()
+    else:
+        assert array.dtype == object
+        assert all(type(x) is int for x in array.flat)
+
+
+@st.composite
+def bases_and_point_stacks(draw):
+    """A basis and a stack of one to four points, with zeros and with
+    coordinates beyond int64."""
+    monos, point = draw(bases_and_points())
+    coord = st.one_of(
+        st.just(0),
+        st.integers(-(10**12), 10**12),
+        st.integers(-(2**80), 2**80),
+    )
+    points = st.lists(coord, min_size=len(point), max_size=len(point))
+    return monos, draw(st.lists(points.map(tuple), min_size=1, max_size=4))
+
+
+@settings(max_examples=200, deadline=None)
+@given(bases_and_point_stacks(), st.sampled_from(FIELDS))
+def test_row_kernels_on_a_stack_match_the_scalar_reference(case, cfg):
+    # a stack's rows are each point's rows, point by point
+    monos, points = case
+    rows = derivative_rows(monos, points, cfg)
+    assert rows.tolist() == [
+        [partial_eval(mono, var, point, cfg) for mono in monos]
+        for point in points
+        for var in range(len(point))
+    ]
+    values = evaluation_row(monos, points, cfg)
+    assert values.tolist() == [
+        [monomial_eval(mono, point, cfg) for mono in monos] for point in points
+    ]
+    assert_canonical_scalars(rows, cfg)
+    assert_canonical_scalars(values, cfg)

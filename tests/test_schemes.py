@@ -5,6 +5,7 @@ import json
 from collections import Counter
 from math import comb
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -107,7 +108,7 @@ def test_double_point_value_row_is_dependent():
     basis = restricted_basis(2, 2, 3)
     point = _generic_point(5, 6)
     rows = derivative_rows(basis, point, MOD)
-    with_value = rows + [evaluation_row(basis, point, MOD)]
+    with_value = np.vstack([rows, evaluation_row(basis, point, MOD)])
     cols = len(basis)
     assert rank(matrix_from_rows(rows, cols, MOD), MOD) == rank(
         matrix_from_rows(with_value, cols, MOD), MOD
@@ -141,7 +142,7 @@ def test_w_space_rows_closed_form():
             if not inside:
                 assert row[col] == 0
     # final row: plain evaluation at the anchor
-    assert rows[n] == evaluation_row(basis, anchor, MOD)
+    assert rows[n].tolist() == evaluation_row(basis, anchor, MOD).tolist()
     assert rank(matrix_from_rows(rows, len(basis), MOD), MOD) == n + 1
 
 
@@ -156,7 +157,7 @@ def test_span_rows_on_pure_b_basis_is_one_evaluation():
     anchor = _generic_point(4, 8)
     rows = span_rows(basis, 1, anchor, MOD)
     assert len(rows) == 1
-    assert rows[0] == evaluation_row(basis, anchor, MOD)
+    assert rows[0].tolist() == evaluation_row(basis, anchor, MOD).tolist()
 
 
 def test_scheme_ideal_dimension_frozen_values():
@@ -455,6 +456,16 @@ def _reference_span_rows(basis, n, anchor, cfg):
     return [rows[gamma] for gamma in sorted(rows, reverse=True)]
 
 
+def assert_canonical_scalars(array, cfg):
+    """int64 residues over GF(p); over Q, plain Python integers."""
+    if cfg.is_modular:
+        assert array.dtype == np.int64
+        assert ((0 <= array) & (array < cfg.modulus)).all()
+    else:
+        assert array.dtype == object
+        assert all(type(x) is int for x in array.flat)
+
+
 @st.composite
 def span_cases(draw):
     """A scheme basis and an anchor off H1, often with zero coordinates."""
@@ -482,8 +493,40 @@ SPAN_FIELDS = (MOD, FieldConfig(modulus=7), MOD.to_rational())
 def test_span_rows_match_the_loop_expansion(case, cfg):
     basis, n, anchor = case
     rows = span_rows(basis, n, anchor, cfg)
-    assert rows == _reference_span_rows(basis, n, anchor, cfg)
-    assert all(type(x) is int for row in rows for x in row)
+    assert rows.tolist() == _reference_span_rows(basis, n, anchor, cfg)
+    assert_canonical_scalars(rows, cfg)
+
+
+@st.composite
+def span_stacks(draw):
+    """A scheme basis and a stack of one to four anchors off H1, with zeros
+    and with coordinates beyond int64."""
+    basis, n, anchor = draw(span_cases())
+    coord = st.one_of(
+        st.just(0),
+        st.integers(-(10**12), 10**12),
+        st.integers(-(2**80), 2**80),
+    )
+    anchors = st.lists(coord, min_size=len(anchor), max_size=len(anchor)).filter(
+        lambda coords: any(coords[n:])
+    )
+    return basis, n, draw(st.lists(anchors.map(tuple), min_size=1, max_size=4))
+
+
+@settings(max_examples=200, deadline=None)
+@given(span_stacks(), st.sampled_from(SPAN_FIELDS))
+# 10^12 - 1 is divisible by 7: the anchor's b-part vanishes mod p only, so
+# the anchor is still off H1
+@example((((1, 0, 1),), 1, [(0, 0, 999_999_999_999)]), FieldConfig(modulus=7))
+def test_span_rows_on_a_stack_are_each_anchors_rows_in_turn(case, cfg):
+    basis, n, anchors = case
+    rows = span_rows(basis, n, anchors, cfg)
+    assert rows.tolist() == [
+        row
+        for anchor in anchors
+        for row in _reference_span_rows(basis, n, anchor, cfg)
+    ]
+    assert_canonical_scalars(rows, cfg)
 
 
 def test_precomputed_dictionary_lhs_is_used_as_given():
@@ -567,6 +610,30 @@ def test_scheme_rows_never_exceed_the_row_bound(configurations):
             built.clear()
             scheme_ideal_dimension(spec, degree, MOD)
             assert sum(built) <= _row_bound(spec, degree)
+
+
+@settings(max_examples=60, deadline=None)
+@given(proof_configurations())
+def test_scheme_matrix_takes_one_kernel_call_per_kind_of_row(configurations):
+    # double points, simple points and spans each reach their row kernel
+    # all at once, never point by point
+    calls = Counter()
+
+    def counted(name, kernel):
+        def call(*args):
+            calls[name] += 1
+            return kernel(*args)
+
+        return call
+
+    with pytest.MonkeyPatch.context() as mp:
+        for name in ("derivative_rows", "evaluation_row", "span_rows",
+                     "matrix_from_rows"):
+            mp.setattr(schemes, name, counted(name, getattr(schemes, name)))
+        for spec, degree in configurations:
+            calls.clear()
+            scheme_ideal_dimension(spec, degree, MOD)
+            assert max(calls.values(), default=0) <= 1
 
 
 BEST_CASES = [

@@ -6,9 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from secantdim import terracini
 from secantdim.expected import expected_secant_dim
 from secantdim.linalg import MAX_MATRIX_ENTRIES, FieldConfig, matrix_from_rows, rank
-from secantdim.monomials import bihomogeneous_basis, evaluation_row
+from secantdim.monomials import bihomogeneous_basis, derivative_rows, evaluation_row
 from secantdim.terracini import (
     MAX_COUNT_DIGITS,
     PointPair,
@@ -176,6 +177,22 @@ def test_one_pass_checks_its_size_first():
         best_ranks(params, (1, 50), CFG)
     with pytest.raises(ValueError):
         best_ranks(SegreVeroneseParams(1, 1, 3), (), CFG)
+
+
+def test_one_pass_builds_each_trial_in_one_kernel_call(monkeypatch):
+    # s = 5 at (2, 3, 2) is a defect, so no trial reaches the cap and every
+    # trial builds its matrix from all five points in one call
+    calls = []
+
+    def counted(monomials, point, cfg):
+        calls.append(len(point))
+        return derivative_rows(monomials, point, cfg)
+
+    monkeypatch.setattr(terracini, "derivative_rows", counted)
+    cfg = SampleConfig(seed=0, trials=3)
+    ranks = best_ranks(SegreVeroneseParams(2, 3, 2), (2, 5), cfg)
+    assert ranks == {2: 12, 5: 29}
+    assert calls == [5, 5, 5]
 
 
 def test_trials_and_seeds_stable_on_certified_cells():
