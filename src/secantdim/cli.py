@@ -38,6 +38,8 @@ from .terracini import SampleConfig, SegreVeroneseParams
 
 _BACKENDS = {"modular": MODULAR, "exact": EXACT_RATIONAL}
 _GRID_CELL = re.compile(r"\s*\(\s*(\d+)\s*,\s*(\d+)\s*,\s*(\d+)\s*\)\s*")
+# a refusal echoes at most this much of an unparsed --grid cell
+_ECHO_CHARS = 40
 _SUITE_CHECKS = {
     "theorem": ALL_CHECKS,
     "castelnuovo": (CHECK_CASTELNUOVO, CHECK_PROJECTION),
@@ -217,7 +219,10 @@ def _parse_grids(args: argparse.Namespace) -> list[ScanGrid]:
     for text in args.grid.split(";"):
         match = _GRID_CELL.fullmatch(text)
         if match is None:
-            raise ValueError(f"could not parse grid cell {text!r} in {args.grid!r}")
+            cut = f" ({len(text)} characters)" if len(text) > _ECHO_CHARS else ""
+            raise ValueError(
+                f"could not parse grid cell {text[:_ECHO_CHARS]!r}{cut}"
+            )
         cells.add(tuple(int(v) for v in match.groups()))
     return [ScanGrid((n,), (m,), (d,), *policy) for n, m, d in sorted(cells)]
 

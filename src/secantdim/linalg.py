@@ -1,15 +1,19 @@
 """Exact dense rank computation over a prime field or the rationals.
 
 The modular backend is the workhorse: scalars live in [0, p) with p < 2^31,
-so any product of two of them fits in a signed 64-bit intermediate and numpy
-row operations stay exact. The exact-rational backend gives characteristic-
-zero certainty; it is the escalation step when a deficient modular rank
-needs confirmation. Every row builder evaluates integer polynomials at
-integer points, so its matrices have integer entries. Over Q a rank is the
-rank of an elimination modulo a large prime, returned only once a
-certificate has proven it: the pivot block bounds it from below, and an
-exact integer product writing every other column through the pivot columns
-bounds it from above.
+so a product of two of them is below 2^62. Elimination adds such products to
+the trailing block without reducing it, and reduces the block once every lag
+updates, lag being the largest L with (p - 1) + L (p - 1)^2 < 2^63: between
+reductions no entry leaves int64, so numpy row operations stay exact (lag is
+8 at the default prime, 2 at 2^31 - 1).
+
+The exact-rational backend gives characteristic-zero certainty; it is the
+escalation step when a deficient modular rank needs confirmation. Every row
+builder evaluates integer polynomials at integer points, so its matrices have
+integer entries. Over Q a rank is the rank of an elimination modulo a large
+prime, returned only once a certificate has proven it: the pivot block bounds
+it from below, and an exact integer product writing every other column
+through the pivot columns bounds it from above.
 
 Ranks are always taken at explicit points, so over GF(p) a computed rank can
 only undercount the generic characteristic-zero rank. "computed == expected"
@@ -33,9 +37,9 @@ BACKENDS = (MODULAR, EXACT_RATIONAL)
 DEFAULT_MODULUS = 1073741789
 
 # Largest condition matrix a caller may build, in entries. The row array
-# (which the matrix keeps) and its elimination peak near 36 bytes per entry
-# on the modular path (tracemalloc over one trial: 36 at (3,3,4), s = 21, and
-# 32 at (5,5,5), s = 135), so this caps a matrix near 0.9 GB.
+# (which the matrix keeps) and its elimination peak near 31 bytes per entry
+# on the modular path (tracemalloc over one warm trial: 31 at (3,3,4),
+# s = 21, and 25 at (5,5,5), s = 135), so this caps a matrix near 0.75 GB.
 MAX_MATRIX_ENTRIES = 24_000_000
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -240,34 +244,43 @@ def _rank_modular(grid: np.ndarray, p: int) -> tuple[list[int], list[int]]:
 
     Pivot rows and pivot columns cut out a block of grid that is
     nonsingular mod p.
+
+    The trailing block holds non-negative entries congruent to those of a
+    fully reduced elimination. Each pivot adds below * (-pivot row / head)
+    to it, a product of two residues, and the block is reduced only before
+    an update that could carry an entry past 2^63; the pivot column and the
+    pivot row are reduced as they are read. The column below a pivot is
+    never read again, so it is left as it is.
     """
     # a reduced, row-major working copy, whatever the layout of grid
     grid = np.remainder(grid, p, order="C")
     nrows, ncols = grid.shape
     order = list(range(nrows))
     pivots: list[int] = []
+    # entries stay below (p - 1) + lag (p - 1)^2 < 2^63
+    lag = (2**63 - p) // (p - 1) ** 2
+    pending = 0
     r = 0
     for c in range(ncols):
-        pivot = -1
-        for i in range(r, nrows):
-            if grid[i, c]:
-                pivot = i
-                break
-        if pivot < 0:
-            continue
-        if pivot != r:
+        if not grid[r, c] % p:
+            (rest,) = (grid[r + 1 :, c] % p).nonzero()
+            if not rest.size:
+                continue
+            pivot = r + 1 + int(rest[0])
             grid[[r, pivot]] = grid[[pivot, r]]
             order[r], order[pivot] = order[pivot], order[r]
-        inv = pow(int(grid[r, c]), -1, p)
-        grid[r, c:] = grid[r, c:] * inv % p
-        below = grid[r + 1 :, c]
-        if below.size:
-            # products stay under p^2 < 2^60, safe in int64
-            grid[r + 1 :, c:] = (grid[r + 1 :, c:] - np.outer(below, grid[r, c:])) % p
         pivots.append(c)
+        if r + 1 == nrows:
+            return pivots, order
+        below = grid[r + 1 :, c] % p
+        factor = grid[r, c + 1 :] % p * (p - pow(int(grid[r, c]) % p, -1, p)) % p
+        block = grid[r + 1 :, c + 1 :]
+        if pending == lag:
+            np.remainder(block, p, out=block)
+            pending = 0
+        block += np.outer(below, factor)
+        pending += 1
         r += 1
-        if r == nrows:
-            break
     return pivots, order[:r]
 
 

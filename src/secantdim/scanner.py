@@ -187,16 +187,17 @@ def scan_cell(
     best_rank, when given, is the best stacked rank a scan has already
     computed for this s with the row's draws; otherwise it is computed here.
     """
-    row_cfg = _row_config(params, cfg)
     if best_rank is None:
-        computed = secant_dimension(params, s, row_cfg)
+        computed = secant_dimension(params, s, _row_config(params, cfg))
     else:
         computed = best_rank - 1
     gap = defect(params, s, computed)
     trials = cfg.trials
     if gap.defect:
         trials = cfg.trials * 2
-        exact = replace(row_cfg, trials=trials, field=cfg.field.to_rational())
+        exact = replace(
+            _row_config(params, cfg), trials=trials, field=cfg.field.to_rational()
+        )
         # a pass over Q has already ranked trials 0 .. T-1 exactly
         first = 0 if cfg.field.is_modular else cfg.trials
         computed = max(

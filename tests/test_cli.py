@@ -294,6 +294,9 @@ def test_oversized_scheme_is_refused_before_its_basis_is_built(
     assert "72 x 739024" in capsys.readouterr().err
 
 
+UNPARSED_CELL = "(1,2," + "x" * 5000 + ")"
+
+
 @pytest.mark.parametrize(
     "args",
     [
@@ -304,6 +307,8 @@ def test_oversized_scheme_is_refused_before_its_basis_is_built(
         # past 4300 digits int() itself refuses; the refusal must not echo
         ("dim", "1", "2", "3", "9" * 5000),
         ("verify", "theorem", "--grid", "(1,1,3)", "--q-max", "9" * 5000),
+        # a --grid cell that does not parse is echoed only in part
+        ("scan", "--grid", UNPARSED_CELL),
     ],
 )
 def test_count_too_long_to_print_exits_two_at_once(args):
@@ -311,7 +316,7 @@ def test_count_too_long_to_print_exits_two_at_once(args):
     proc = subprocess.run(CMD + list(args), capture_output=True, text=True, timeout=20)
     assert proc.returncode == 2
     assert proc.stdout == ""
-    assert "digits" in proc.stderr
+    assert ("grid cell" if UNPARSED_CELL in args else "digits") in proc.stderr
     assert len(proc.stderr) < 300
 
 

@@ -15,6 +15,7 @@ from secantdim.linalg import (
     EXACT_RATIONAL,
     FieldConfig,
     Matrix,
+    _rank_modular,
     brief,
     ideal_dimension,
     is_prime,
@@ -69,6 +70,39 @@ def reference_pivots(rows):
         if r == len(work):
             break
     return pivots
+
+
+def reference_rank_modular(grid, p):
+    """Pivot columns and pivot rows of an elimination over GF(p) that reduces
+    the whole trailing block after every pivot: the reference for the
+    delayed-reduction kernel."""
+    grid = np.remainder(grid, p, order="C")
+    nrows, ncols = grid.shape
+    order = list(range(nrows))
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pivot = -1
+        for i in range(r, nrows):
+            if grid[i, c]:
+                pivot = i
+                break
+        if pivot < 0:
+            continue
+        if pivot != r:
+            grid[[r, pivot]] = grid[[pivot, r]]
+            order[r], order[pivot] = order[pivot], order[r]
+        inv = pow(int(grid[r, c]), -1, p)
+        grid[r, c:] = grid[r, c:] * inv % p
+        below = grid[r + 1 :, c]
+        if below.size:
+            # products stay under p^2 < 2^62, safe in int64
+            grid[r + 1 :, c:] = (grid[r + 1 :, c:] - np.outer(below, grid[r, c:])) % p
+        pivots.append(c)
+        r += 1
+        if r == nrows:
+            break
+    return pivots, order[:r]
 
 
 def test_default_modulus_is_the_largest_prime_below_2_30():
@@ -216,6 +250,52 @@ def test_certified_rank_and_profile_match_the_reference(matrix):
     assert rank(mat, RAT) == len(reference_pivots(grid))
     transpose = [list(col) for col in zip(*grid)]
     assert rank_profile(mat, RAT) == reference_pivots(transpose)
+
+
+KERNEL_PRIMES = (7, DEFAULT_MODULUS, 2**31 - 1)
+
+
+def kernel_cases(p):
+    """Matrices over GF(p) with at least 20 pivots, so the delayed reduction
+    runs through several lag cycles (8 updates at the default prime, 2 at
+    2^31 - 1), plus the all-(p - 1) matrix, each also transposed."""
+    rng = np.random.default_rng(p % 1000)
+    full = rng.integers(0, p, size=(40, 45))
+    # mostly zero entries: heads vanish and the pivot search runs on
+    sparse = full * (rng.random(full.shape) < 0.2)
+    zero_columns = full.copy()
+    zero_columns[:, ::3] = 0
+    u = rng.integers(0, p, size=(60, 25)).astype(object)
+    v = rng.integers(0, p, size=(25, 50)).astype(object)
+    deficient = (u @ v % p).astype(np.int64)
+    top = np.full((30, 36), p - 1)
+    # each pivot of this matrix has head p - 1, the entries below it p - 1
+    # and its row p - 1 times (1, -1, 1, -1, ...): every update adds
+    # (p - 1)^2 to the even columns, the worst case for the lag bound, and
+    # p - 1 to the odd ones. Below it go the negatives of ten of its rows:
+    # their updates stay small, so they vanish only if no entry overflowed
+    i, j = np.indices((30, 36))
+    sign = 1 - 2 * (j % 2)
+    worst = np.where(i < j, -(1 + i) * sign, -1 - j * sign) % p
+    worst = np.vstack([worst, -worst[10:20] % p])
+    cases = [full, sparse, zero_columns, deficient, top, worst]
+    return cases + [case.T for case in cases]
+
+
+@pytest.mark.parametrize("p", KERNEL_PRIMES)
+def test_delayed_reduction_matches_the_reference_kernel(p):
+    ranks = []
+    for grid in kernel_cases(p):
+        before = grid.copy()
+        pivots, rows = _rank_modular(grid, p)
+        assert (pivots, rows) == reference_rank_modular(grid, p)
+        assert np.array_equal(grid, before)
+        # the pivot rows and columns cut out a block nonsingular mod p
+        block = grid[np.ix_(rows, pivots)]
+        assert len(reference_rank_modular(block, p)[0]) == len(pivots)
+        ranks.append(len(pivots))
+    # every case but the all-(p - 1) one runs through at least 25 pivots
+    assert ranks == [40, 40, 30, 25, 1, 30] * 2
 
 
 P = DEFAULT_MODULUS
