@@ -13,7 +13,7 @@ import re
 import sys
 
 from .expected import thresholds
-from .linalg import DEFAULT_MODULUS, EXACT_RATIONAL, MODULAR, FieldConfig
+from .linalg import DEFAULT_MODULUS, EXACT_RATIONAL, MODULAR, FieldConfig, brief
 from .scanner import (
     ALL_CHECKS,
     ALL_UP_TO,
@@ -40,6 +40,10 @@ _BACKENDS = {"modular": MODULAR, "exact": EXACT_RATIONAL}
 _GRID_CELL = re.compile(r"\s*\(\s*(\d+)\s*,\s*(\d+)\s*,\s*(\d+)\s*\)\s*")
 # a refusal echoes at most this much of an unparsed --grid cell
 _ECHO_CHARS = 40
+# the most --trials accepted. A row that never reaches its rank cap runs
+# every trial, and a shortfall reruns them over Q at twice the count:
+# dim 2 3 2 5 takes about 0.5, 2.4 and 16 s at 10, 100 and 1,000 trials
+MAX_TRIALS = 1000
 _SUITE_CHECKS = {
     "theorem": ALL_CHECKS,
     "castelnuovo": (CHECK_CASTELNUOVO, CHECK_PROJECTION),
@@ -269,6 +273,10 @@ def main(argv: list[str] | None = None) -> int:
         max_degree = max(d for grid in grids for d in grid.d_values)
         if args.prime <= max_degree + 1:
             raise ValueError("prime must exceed d+1 for every requested d")
+        if args.trials > MAX_TRIALS:
+            raise ValueError(
+                f"--trials {brief(args.trials)} exceeds the limit of {MAX_TRIALS:,}"
+            )
         if args.command in ("dim", "scan"):
             records = [r for grid in grids for r in scan(grid, cfg)]
             render = records_to_json if args.format == "json" else records_to_csv

@@ -30,7 +30,6 @@ from .expected import defect, expected_scheme_dim, thresholds
 from .linalg import brief, check_size
 from .schemes import (
     CastelnuovoCheck,
-    DictionaryCheck,
     SchemeSpec,
     _row_bound,
     add_v_spans,
@@ -253,29 +252,41 @@ class VerifySummary:
 
 
 def verify_dictionary_grid(grid: ScanGrid, cfg: SampleConfig) -> VerifySummary:
-    """Check the multigraded / single-graded correspondence on every cell.
-
-    The bidegree side of every s in an (n, m, d) row comes from one
-    best_ranks pass on the row's draws, as in a scan; the scheme side of
-    each cell draws from its own (seed, n, m, d, s) stream.
-    """
+    """Check the multigraded / single-graded correspondence on every cell,
+    s = 0 .. s2+1 of each (n, m, d) row."""
     failures = []
     cells = 0
     for n, m, d in grid.cells():
         params = SegreVeroneseParams(n, m, d)
-        s_top = thresholds(params).s2 + 1
-        ranks = best_ranks(params, range(1, s_top + 1), _row_config(params, cfg))
-        for s in range(0, s_top + 1):
-            cells += 1
-            cell_cfg = replace(cfg, seed=derived_seed(cfg.seed, n, m, d, s))
-            lhs = params.coefficient_count - ranks.get(s, 0)
-            detail = _dictionary_detail(verify_dictionary(params, s, cell_cfg, lhs))
-            if detail is not None:
-                # this report's key order puts the detail before the metadata
-                failures.append(
-                    _failure(CHECK_DICTIONARY, params, cfg, {"s": s, **detail})
-                )
+        s_values = range(0, thresholds(params).s2 + 2)
+        # this report's key order puts the detail before the metadata
+        failures += [
+            _failure(CHECK_DICTIONARY, params, cfg, {"s": s, **detail})
+            for s, detail in _dictionary_failures(params, s_values, cfg).items()
+        ]
+        # counted once the size check has passed: len() refuses a huge range
+        cells += len(s_values)
     return VerifySummary(cells, tuple(failures))
+
+
+def _dictionary_failures(
+    params: SegreVeroneseParams, s_values: range, cfg: SampleConfig
+) -> dict[int, dict]:
+    """The lhs and rhs of the dictionary check at each s of one (n, m, d) row
+    where they differ. The lhs of every s comes from one best_ranks pass on
+    the row's draws, as in a scan; the rhs of each s from verify_dictionary
+    on its own (seed, n, m, d, s) stream."""
+    # s = 0 stacks no tangent space, so its rank is 0
+    ranked = s_values[1:] if s_values[0] == 0 else s_values
+    ranks = best_ranks(params, ranked, _row_config(params, cfg))
+    failures = {}
+    for s in s_values:
+        seed = derived_seed(cfg.seed, params.n, params.m, params.d, s)
+        lhs = params.coefficient_count - ranks.get(s, 0)
+        check = verify_dictionary(params, s, replace(cfg, seed=seed), lhs)
+        if not check.equal:
+            failures[s] = {"lhs": check.lhs, "rhs": check.rhs}
+    return failures
 
 
 def verify_theorem_suite(
@@ -287,21 +298,21 @@ def verify_theorem_suite(
 ) -> VerifySummary:
     """Exercise the flag-scheme dimension formula and its proof steps.
 
-    Per (n, m, d) cell with d >= 3 and per q: the dictionary at
-    s = (n+1)q; then per t: the closed-form scheme dimension, invariance
-    under attaching base-locus spans, the residual/trace bound, and the
-    projection onto P^m. Failures carry the offending configuration in JSON
-    form. A cell is refused before its first case if its largest case, with
-    every double point spanned, is too large to build.
+    Per (n, m, d) cell with d >= 3 and per q: the dictionary at s = (n+1)q,
+    verify_dictionary_grid's check at that s on its draws (row draws for the
+    lhs, the (seed, n, m, d, s) stream for the rhs); then per t: the
+    closed-form scheme dimension, invariance under attaching base-locus
+    spans, the residual/trace bound, and the projection onto P^m. Failures
+    carry the offending configuration in JSON form. A cell is refused before
+    its first case if its largest case, with every double point spanned, is
+    too large to build.
     """
     unknown = set(checks) - set(ALL_CHECKS)
     if unknown:
         raise ValueError(f"unknown checks: {sorted(unknown)}")
     if q_max < 1 or t_max < 0:
         raise ValueError("need q_max >= 1 and t_max >= 0")
-    selected = [name for name in ALL_CHECKS if name in checks]
-    per_q = [name for name in selected if name == CHECK_DICTIONARY]
-    per_t = [name for name in selected if name != CHECK_DICTIONARY]
+    per_t = [c for c in ALL_CHECKS if c in checks and c != CHECK_DICTIONARY]
     failures: list[dict] = []
     cells = 0
     for n, m, d in grid.cells():
@@ -315,8 +326,14 @@ def verify_theorem_suite(
             scheme_basis_size(frame, d + 1),
             f"q = {brief(q_max)}, t = {brief(t_max)} at {brief((n, m, d))}",
         )
+        dictionary = {}
+        if CHECK_DICTIONARY in checks:
+            s_values = range(n + 1, s_max + 1, n + 1)
+            dictionary = _dictionary_failures(params, s_values, cfg)
         for q in range(1, q_max + 1):
-            failures += _run_checks(_Case(params, q, None, cfg), per_q)
+            if (detail := dictionary.get((n + 1) * q)) is not None:
+                where = {"q": q, "t": None}
+                failures.append(_failure(CHECK_DICTIONARY, params, cfg, where, detail))
             for t in range(0, t_max + 1):
                 cells += 1
                 failures += _run_checks(_Case(params, q, t, cfg), per_t)
@@ -326,13 +343,13 @@ def verify_theorem_suite(
 @dataclass(frozen=True)
 class _Case:
     """One configuration of the theorem suite: s = (n+1)q double points and
-    t spans; t is None for the checks run once per q. The base-locus and
-    projection checks read the spanned and residual dimensions from its
-    castelnuovo_check, so each scheme dimension is computed once."""
+    t spans. The base-locus and projection checks read the spanned and
+    residual dimensions from its castelnuovo_check, so each scheme dimension
+    is computed once."""
 
     params: SegreVeroneseParams
     q: int
-    t: int | None
+    t: int
     cfg: SampleConfig
 
     @property
@@ -371,16 +388,6 @@ def _run_checks(case: _Case, names: Sequence[str]) -> list[dict]:
         for name in names
         if (detail := _CHECKS[name](case)) is not None
     ]
-
-
-def _check_dictionary(case: _Case) -> dict | None:
-    p, cfg = case.params, case.cfg
-    cell_cfg = replace(cfg, seed=derived_seed(cfg.seed, p.n, p.m, p.d, case.q))
-    return _dictionary_detail(verify_dictionary(p, case.s, cell_cfg))
-
-
-def _dictionary_detail(check: DictionaryCheck) -> dict | None:
-    return None if check.equal else {"lhs": check.lhs, "rhs": check.rhs}
 
 
 def _check_formula(case: _Case) -> dict | None:
@@ -429,7 +436,6 @@ def _check_projection(case: _Case) -> dict | None:
 
 _CHECKS = {
     CHECK_FORMULA: _check_formula,
-    CHECK_DICTIONARY: _check_dictionary,
     CHECK_BASE_LOCUS: _check_base_locus,
     CHECK_CASTELNUOVO: _check_castelnuovo,
     CHECK_PROJECTION: _check_projection,
@@ -497,13 +503,6 @@ def summary_to_csv(summary: VerifySummary) -> str:
             for k, v in failure.items()
             if k not in fields and k != "scheme"
         )
-        lines.append(
-            ",".join(
-                [
-                    str(failure.get("check", "")),
-                    *(str(failure.get(k, "")) for k in ("n", "m", "d", "q", "t", "s")),
-                    detail,
-                ]
-            )
-        )
+        columns = (str(failure.get(k, "")) for k in fields[:-1])
+        lines.append(",".join([*columns, detail]))
     return "\n".join(lines) + "\n"

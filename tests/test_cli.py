@@ -309,6 +309,8 @@ UNPARSED_CELL = "(1,2," + "x" * 5000 + ")"
         ("verify", "theorem", "--grid", "(1,1,3)", "--q-max", "9" * 5000),
         # a --grid cell that does not parse is echoed only in part
         ("scan", "--grid", UNPARSED_CELL),
+        # a genuine defect runs every trial, so this count would never end
+        ("dim", "2", "3", "2", "5", "--trials", "1000000000"),
     ],
 )
 def test_count_too_long_to_print_exits_two_at_once(args):
@@ -316,7 +318,12 @@ def test_count_too_long_to_print_exits_two_at_once(args):
     proc = subprocess.run(CMD + list(args), capture_output=True, text=True, timeout=20)
     assert proc.returncode == 2
     assert proc.stdout == ""
-    assert ("grid cell" if UNPARSED_CELL in args else "digits") in proc.stderr
+    if UNPARSED_CELL in args:
+        assert "grid cell" in proc.stderr
+    elif "--trials" in args:
+        assert "limit of 1,000" in proc.stderr
+    else:
+        assert "digits" in proc.stderr
     assert len(proc.stderr) < 300
 
 

@@ -298,7 +298,16 @@ def test_verify_dictionary_grid_counts():
     assert summary.cells_checked == 16
 
 
-def test_verify_dictionary_grid_takes_one_pass_per_row(monkeypatch):
+@pytest.mark.parametrize(
+    "suite",
+    [
+        verify_dictionary_grid,
+        # the theorem suite's dictionary at s = (n+1)q, for q = 1 and 2
+        lambda grid, cfg: verify_theorem_suite(grid, cfg, checks=(CHECK_DICTIONARY,)),
+    ],
+    ids=["dictionary", "theorem"],
+)
+def test_verify_dictionary_grid_takes_one_pass_per_row(monkeypatch, suite):
     # every lhs of an (n, m, d) row comes from one best_ranks pass, so one
     # trial costs one tangent elimination per row, not one per s
     eliminations = []
@@ -313,9 +322,31 @@ def test_verify_dictionary_grid_takes_one_pass_per_row(monkeypatch):
     for name in ("rank", "rank_profile"):
         monkeypatch.setattr(terracini, name, counted(getattr(terracini, name)))
     grid = ScanGrid(n_values=(1, 2), m_values=(2,), d_values=(3,))
-    summary = verify_dictionary_grid(grid, SampleConfig(seed=0, trials=1))
+    summary = suite(grid, SampleConfig(seed=0, trials=1))
     assert summary.ok
     assert len(eliminations) == 2
+
+
+def test_both_suites_report_the_same_dictionary_check():
+    # at a small prime both suites find mismatches; the theorem suite's check
+    # at (q, t = None) is verify dictionary's at s = (n+1)q, entry for entry
+    grid = grid_from_ranges(2, 2, 3, 4)
+    cfg = SampleConfig(seed=0, trials=3, field=FieldConfig(modulus=7))
+    by_s = {
+        (f["n"], f["m"], f["d"], f["s"]): f
+        for f in verify_dictionary_grid(grid, cfg).failures
+    }
+    theorem = [
+        f for f in verify_theorem_suite(grid, cfg).failures
+        if f["check"] == CHECK_DICTIONARY
+    ]
+    assert theorem
+    for f in theorem:
+        match = by_s[f["n"], f["m"], f["d"], (f["n"] + 1) * f["q"]]
+        assert (f["lhs"], f["rhs"], f["t"]) == (match["lhs"], match["rhs"], None)
+    # and every mismatch at some s = (n+1)q, q <= 2, shows in both
+    at_q = [(n, s) for n, m, d, s in by_s if s % (n + 1) == 0 and s <= 2 * (n + 1)]
+    assert len(at_q) == len(theorem)
 
 
 def test_scan_matches_the_benchmark_golden_report():
@@ -433,14 +464,16 @@ def test_verify_theorem_suite_computes_each_scheme_dimension_once(monkeypatch):
 
     On (1, 1, 3) with q = 1 and t in {0, 1}, every draw is generic and
     generic dimensions sit at the floor, so each best over trials takes one
-    draw. Per q, the dictionary's scheme side: 1. Per t: the formula 1,
+    draw. Per q, the dictionary's scheme side: 1, computed for the row
+    before its cases run, outside _run_checks. Per t: the formula 1,
     the base locus 2 (scheme and spanned), Castelnuovo 2 (residual and
     trace; its total is the spanned one), the projection 1 (projected; its
     residual is Castelnuovo's): 6. In all 1 + 2 * 6 = 13.
     """
     real = schemes.scheme_ideal_dimension
     real_run = scanner._run_checks
-    cases: list[list] = []
+    # the first list collects what runs outside any case: the dictionary
+    cases: list[list] = [[]]
 
     def counted(spec, degree, cfg):
         cases[-1].append((spec, degree))
