@@ -42,7 +42,7 @@ _GRID_CELL = re.compile(r"\s*\(\s*(\d+)\s*,\s*(\d+)\s*,\s*(\d+)\s*\)\s*")
 _ECHO_CHARS = 40
 # the most --trials accepted. A row that never reaches its rank cap runs
 # every trial, and a shortfall reruns them over Q at twice the count:
-# dim 2 3 2 5 takes about 0.5, 2.4 and 16 s at 10, 100 and 1,000 trials
+# dim 2 3 2 5 takes about 0.5, 1.4 and 14 s at 10, 100 and 1,000 trials
 MAX_TRIALS = 1000
 _SUITE_CHECKS = {
     "theorem": ALL_CHECKS,

@@ -308,8 +308,8 @@ def _certified_pivots(grid: np.ndarray) -> list[int]:
             p -= 2
 
 
-# limb width of the int64 products: a dot of depth below 2^18 of 15-bit by
-# 30-bit factors stays below 2^63
+# limb width of the inverse's int64 products: a dot of depth below 2^18 of
+# 15-bit by 30-bit factors stays below 2^63
 _LIMB_BITS = 15
 
 
@@ -323,6 +323,11 @@ def _certify(ints: np.ndarray, rows: list[int], cols: list[int], p: int) -> bool
     exact product over every row proves them; lifting stops at the first
     reconstruction that passes it, or fails once p^k passes the Hadamard
     bound, beyond which the reconstruction is the exact solution.
+
+    The block and the residual are held as int64 limbs of _limb_width bits,
+    so a lifting step is one stacked matmul and an exact division by p
+    (_divide). The p-adic digits become Python integers only when a
+    reconstruction is attempted.
     """
     pivots = set(cols)
     others = [c for c in range(ints.shape[1]) if c not in pivots]
@@ -332,20 +337,28 @@ def _certify(ints: np.ndarray, rows: list[int], cols: list[int], p: int) -> bool
         return not any(ints.flat)
     block = ints[np.ix_(rows, cols)]
     rhs = ints[np.ix_(rows, others)]
-    inverse = _split(_inverse_mod((block % p).astype(np.int64), p), 2)
-    limbs = _split(block, max(x.bit_length() for x in block.flat) // _LIMB_BITS + 2)
+    inverse = _inverse_mod((block % p).astype(np.int64), p)
+    inverse = inverse & ((1 << _LIMB_BITS) - 1), inverse >> _LIMB_BITS
+    width = _limb_width(p, len(cols))
+    largest = max(np.abs(block).max(), np.abs(rhs).max())
+    count = -(-largest.bit_length() // width)
+    limbs = _split(block, count, width).reshape(-1, len(cols))
+    residual = _split(rhs, count, width)
+    reduced = (rhs % p).astype(np.int64)
     # by Cramer's rule and Hadamard's bound, the solution's numerators and
     # denominators are at most prod |B_i| * max |b|; past twice its square,
     # reconstruction is unique
     height = prod(int((block[:, i] ** 2).sum()) for i in range(len(cols)))
     bound = 2 * height * max(int((rhs[:, j] ** 2).sum()) for j in range(len(others)))
-    residual = rhs
     solution = np.zeros(rhs.shape, dtype=object)
-    power, steps, attempt = 1, 0, 1
+    # digits lifted since the last attempt; the first has weight base
+    digits: list[np.ndarray] = []
+    power, base, steps, attempt = 1, 1, 0, 1
     while True:
-        digit = _product_mod(inverse, (residual % p).astype(np.int64), p)
-        solution = solution + digit.astype(object) * power
-        residual = (residual - _product(limbs, digit)) // p
+        digit = _product_mod(inverse, reduced, p)
+        digits.append(digit)
+        residual -= (limbs @ digit).reshape(residual.shape)
+        reduced = _divide(residual, p, width)
         power *= p
         steps += 1
         # reconstructing at geometrically spaced steps keeps the failed
@@ -353,6 +366,8 @@ def _certify(ints: np.ndarray, rows: list[int], cols: list[int], p: int) -> bool
         if steps < attempt and power <= bound:
             continue
         attempt += attempt // 2 + 1
+        solution = solution + _join(digits, p) * base
+        digits, base = [], power
         found = _reconstruct(solution, power)
         if found is not None and _combines(ints, cols, others, *found):
             return True
@@ -360,49 +375,116 @@ def _certify(ints: np.ndarray, rows: list[int], cols: list[int], p: int) -> bool
             return False
 
 
-def _split(values: np.ndarray, count: int) -> list[np.ndarray]:
-    """Integers as int64 limbs: values = sum of limbs[l] * 2^(15 l).
+def _limb_width(p: int, depth: int) -> int:
+    """Bits per limb of the lifting: a dot of depth terms, each a limb of
+    size at most 2^width times a digit in [0, p), stays below
+    2^(depth.bit_length() + width + p.bit_length()) = 2^61."""
+    return 61 - p.bit_length() - depth.bit_length()
 
-    Every limb but the last lies in [0, 2^15); the last keeps the sign.
+
+def _split(values: np.ndarray, count: int, width: int) -> np.ndarray:
+    """Integers below 2^(width count) in size as a stack of count int64
+    limbs: values = sum of limbs[l] * 2^(width l).
+
+    Every limb but the last lies in [0, 2^width); the last keeps the sign and
+    lies in [-2^width, 2^width).
     """
     values = values.astype(object)
-    mask = (1 << _LIMB_BITS) - 1
-    limbs = []
-    for _ in range(count - 1):
-        limbs.append((values & mask).astype(np.int64))
-        values = values >> _LIMB_BITS
-    limbs.append(values.astype(np.int64))
+    mask = (1 << width) - 1
+    limbs = np.empty((count, *values.shape), dtype=np.int64)
+    for limb in limbs[:-1]:
+        limb[...] = values & mask
+        values = values >> width
+    limbs[-1] = values
     return limbs
 
 
-def _product(limbs: list[np.ndarray], digit: np.ndarray) -> np.ndarray:
-    """The exact product of a limb-split matrix and a matrix of residues, as
-    Python integers."""
-    out = (limbs[-1] @ digit).astype(object)
-    for limb in reversed(limbs[:-1]):
-        out = (out << _LIMB_BITS) + (limb @ digit).astype(object)
+def _divide(residual: np.ndarray, p: int, width: int) -> np.ndarray:
+    """Divide the integers that a stack of int64 limbs of width bits
+    represents by p, in place, and return the quotients mod p.
+
+    The division runs from the top limb down, carrying each remainder into
+    the limb below, and must leave no remainder after the lowest limb.
+
+    With b = p.bit_length() >= 4 and width from _limb_width, every entry
+    stays in int64 (at b = 30: below 2^61, 2^62 and 2^32):
+    - a limb holds a stored limb, below 2^(62 - b) in size, less a product
+      limb, below p * 2^(61 - b) <= 2^61 (_limb_width);
+    - adding the carry shifted up, below p * 2^width <= p * 2^(60 - b),
+      keeps it below p * 2^(61 - b) + p * 2^(60 - b) + 2^(62 - b) < 2^62;
+    - so its quotient is below 2^(61 - b) + 2^(60 - b) + 2^(63 - 2b) + 1
+      <= 2^(62 - b), and stored limbs, which start at most 2^width in
+      size, keep that bound through every step;
+    - the quotients mod p are taken limb by limb from the top, by Horner's
+      rule, each step below (p - 1)^2 + 2^(62 - b) < 2^63. Summing the
+      reduced limbs times 2^(width l) mod p instead would pass 2^63 at
+      eight limbs.
+    """
+    shift = pow(2, width, p)
+    top = residual[-1]
+    carry = np.empty_like(top)
+    np.divmod(top, p, out=(top, carry))
+    reduced = top % p
+    for limb in residual[-2::-1]:
+        carry <<= width
+        limb += carry
+        np.divmod(limb, p, out=(limb, carry))
+        reduced *= shift
+        reduced += limb
+        reduced %= p
+    if carry.any():
+        raise ArithmeticError("a lifting step left a remainder mod p")
+    return reduced
+
+
+def _join(digits: list[np.ndarray], p: int) -> np.ndarray:
+    """sum of digits[i] * p^i as Python integers."""
+    # two digits at a time: d + d' p < p^2 < 2^62 stays in int64
+    stack = np.array(digits + [np.zeros_like(digits[0])] * (len(digits) % 2))
+    out = np.zeros(stack.shape[1:], dtype=object)
+    for pair in (stack[::2] + stack[1::2] * p)[::-1]:
+        out = out * (p * p) + pair
     return out
 
 
-def _product_mod(inverse: list[np.ndarray], digit: np.ndarray, p: int) -> np.ndarray:
+def _product_mod(
+    inverse: tuple[np.ndarray, np.ndarray], digit: np.ndarray, p: int
+) -> np.ndarray:
     """(inverse @ digit) mod p for a two-limb inverse with entries below p."""
     low, high = inverse
     return ((high @ digit % p << _LIMB_BITS) + low @ digit) % p
 
 
 def _inverse_mod(block: np.ndarray, p: int) -> np.ndarray:
-    """Inverse of a nonsingular matrix over GF(p), by Gauss-Jordan."""
+    """Inverse of a nonsingular matrix with entries in [0, p) over GF(p), by
+    Gauss-Jordan with the delayed reduction of _rank_modular.
+
+    Each pivot adds column * (-pivot row) to the other rows, a product of two
+    residues, and the working matrix is reduced only before an update that
+    could carry an entry past 2^63; the pivot column and the pivot row are
+    reduced as they are read. A column is never read after its pivot, so it
+    is left as it is.
+    """
     size = len(block)
     work = np.concatenate([block, np.eye(size, dtype=np.int64)], axis=1)
+    # entries stay below (p - 1) + lag (p - 1)^2 < 2^63
+    lag = (2**63 - p) // (p - 1) ** 2
+    pending = 0
     for c in range(size):
-        pivot = c + int(np.flatnonzero(work[c:, c])[0])
+        pivot = c + int(np.flatnonzero(work[c:, c] % p)[0])
         if pivot != c:
             work[[c, pivot]] = work[[pivot, c]]
-        work[c] = work[c] * pow(int(work[c, c]), -1, p) % p
-        column = work[:, c].copy()
+        row = work[c, c + 1 :] % p * pow(int(work[c, c]) % p, -1, p) % p
+        work[c, c + 1 :] = row
+        column = work[:, c] % p
         column[c] = 0
-        work = (work - np.outer(column, work[c])) % p
-    return work[:, size:]
+        rest = work[:, c + 1 :]
+        if pending == lag:
+            np.remainder(rest, p, out=rest)
+            pending = 0
+        rest += np.outer(column, -row % p)
+        pending += 1
+    return work[:, size:] % p
 
 
 def _reconstruct(

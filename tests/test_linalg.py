@@ -1,9 +1,10 @@
 """Exact rank kernel: frozen values and algebraic invariances."""
 
 import operator
+import random
 from bisect import bisect_left
 from fractions import Fraction
-from math import gcd
+from math import gcd, prod
 
 import numpy as np
 import pytest
@@ -15,7 +16,14 @@ from secantdim.linalg import (
     EXACT_RATIONAL,
     FieldConfig,
     Matrix,
+    _certify,
+    _combines,
+    _divide,
+    _inverse_mod,
+    _limb_width,
+    _product_mod,
     _rank_modular,
+    _reconstruct,
     brief,
     ideal_dimension,
     is_prime,
@@ -103,6 +111,78 @@ def reference_rank_modular(grid, p):
         if r == nrows:
             break
     return pivots, order[:r]
+
+
+def reference_inverse_mod(block, p):
+    """Inverse over GF(p) by Gauss-Jordan, reducing the whole working matrix
+    after every pivot: the reference for the delayed-reduction inverse."""
+    size = len(block)
+    work = np.concatenate([block, np.eye(size, dtype=np.int64)], axis=1)
+    for c in range(size):
+        pivot = c + int(np.flatnonzero(work[c:, c])[0])
+        if pivot != c:
+            work[[c, pivot]] = work[[pivot, c]]
+        work[c] = work[c] * pow(int(work[c, c]), -1, p) % p
+        column = work[:, c].copy()
+        column[c] = 0
+        work = (work - np.outer(column, work[c])) % p
+    return work[:, size:]
+
+
+def reference_split(values, count):
+    """Integers as count 15-bit int64 limbs, the last keeping the sign."""
+    values = values.astype(object)
+    limbs = []
+    for _ in range(count - 1):
+        limbs.append((values & 0x7FFF).astype(np.int64))
+        values = values >> 15
+    limbs.append(values.astype(np.int64))
+    return limbs
+
+
+def reference_product(limbs, digit):
+    """The exact product of a limb-split matrix and a matrix of residues, as
+    Python integers."""
+    out = (limbs[-1] @ digit).astype(object)
+    for limb in reversed(limbs[:-1]):
+        out = (out << 15) + (limb @ digit).astype(object)
+    return out
+
+
+def reference_certify(ints, rows, cols, p):
+    """The certificate of linalg._certify with the residual held as Python
+    integers and the solution summed at every step: the reference for the
+    int64 limb lifting. The attempt schedule is the same, so the verdicts
+    must agree."""
+    pivots = set(cols)
+    others = [c for c in range(ints.shape[1]) if c not in pivots]
+    if not others:
+        return True
+    if not cols:
+        return not any(ints.flat)
+    block = ints[np.ix_(rows, cols)]
+    rhs = ints[np.ix_(rows, others)]
+    inverse = reference_split(reference_inverse_mod((block % p).astype(np.int64), p), 2)
+    limbs = reference_split(block, max(x.bit_length() for x in block.flat) // 15 + 2)
+    height = prod(int((block[:, i] ** 2).sum()) for i in range(len(cols)))
+    bound = 2 * height * max(int((rhs[:, j] ** 2).sum()) for j in range(len(others)))
+    residual = rhs
+    solution = np.zeros(rhs.shape, dtype=object)
+    power, steps, attempt = 1, 0, 1
+    while True:
+        digit = _product_mod(inverse, (residual % p).astype(np.int64), p)
+        solution = solution + digit.astype(object) * power
+        residual = (residual - reference_product(limbs, digit)) // p
+        power *= p
+        steps += 1
+        if steps < attempt and power <= bound:
+            continue
+        attempt += attempt // 2 + 1
+        found = _reconstruct(solution, power)
+        if found is not None and _combines(ints, cols, others, *found):
+            return True
+        if power > bound:
+            return False
 
 
 def test_default_modulus_is_the_largest_prime_below_2_30():
@@ -290,9 +370,16 @@ def test_delayed_reduction_matches_the_reference_kernel(p):
         pivots, rows = _rank_modular(grid, p)
         assert (pivots, rows) == reference_rank_modular(grid, p)
         assert np.array_equal(grid, before)
-        # the pivot rows and columns cut out a block nonsingular mod p
+        # the pivot rows and columns cut out a block nonsingular mod p,
+        # whose inverse the certificate takes
         block = grid[np.ix_(rows, pivots)]
         assert len(reference_rank_modular(block, p)[0]) == len(pivots)
+        before = block.copy()
+        inverse = _inverse_mod(block, p)
+        assert np.array_equal(inverse, reference_inverse_mod(block, p))
+        assert np.array_equal(block, before)
+        identity = block.astype(object) @ inverse.astype(object) % p
+        assert np.array_equal(identity, np.eye(len(pivots), dtype=int))
         ranks.append(len(pivots))
     # every case but the all-(p - 1) one runs through at least 25 pivots
     assert ranks == [40, 40, 30, 25, 1, 30] * 2
@@ -321,6 +408,105 @@ def test_certificate_falls_back_when_the_first_prime_divides_a_minor(
     assert rank(mat, RAT) == len(reference_pivots(grid)) == expected
     transpose = [list(col) for col in zip(*grid)]
     assert rank_profile(mat, RAT) == reference_pivots(transpose)
+
+
+def primes_below(p, count):
+    found = []
+    while len(found) < count:
+        p -= 2
+        if is_prime(p):
+            found.append(p)
+    return found
+
+
+# the prime of a first certificate and the first two fallbacks
+CERTIFY_PRIMES = (DEFAULT_MODULUS, *primes_below(DEFAULT_MODULUS, 2))
+# limb widths change between 63 and 64 columns and between 127 and 128
+DEPTHS = (1, 63, 64, 127, 128)
+
+
+def test_limb_width_keeps_the_lifting_in_int64():
+    for p in (*CERTIFY_PRIMES, 2**31 - 1):
+        widths = [_limb_width(p, depth) for depth in DEPTHS]
+        assert widths[1] == widths[2] + 1 == widths[3] + 1 == widths[4] + 2
+        for depth, width in zip(DEPTHS + (5000,), widths + [_limb_width(p, 5000)]):
+            assert depth * 2**width * p <= 2**61
+            # the largest product a step takes, in int64 and exactly
+            top = np.full((2, depth), -(2**width)) @ np.full((depth, 1), p - 1)
+            assert top.tolist() == [[-depth * 2**width * (p - 1)]] * 2
+
+
+def limb_value(limbs, width):
+    return sum(limb.astype(object) << width * l for l, limb in enumerate(limbs))
+
+
+@pytest.mark.parametrize("p", CERTIFY_PRIMES)
+@pytest.mark.parametrize("depth", DEPTHS)
+def test_exact_division_of_extreme_limbs(p, depth):
+    # stored limbs at their bound 2^(62 - b) less extreme step products, in
+    # 40 limbs: a sum of unreduced limb residues would pass 2^63
+    width = _limb_width(p, depth)
+    stored = 2 ** (62 - p.bit_length()) - 1
+    rng = np.random.default_rng(depth)
+    signs = rng.choice([-1, 1], size=(40, 3, 2))
+    product = np.full((1, depth), 2**width) @ np.full((depth, 2), p - 1)
+    limbs = signs * stored - signs[::-1] * product
+    # the lowest limb moves toward zero to make the value a multiple of p
+    value = limb_value(limbs, width)
+    limbs[0] -= (value % p).astype(np.int64)
+    value = limb_value(limbs, width)
+    assert not (value % p).any() and (abs(value) > 2 ** (39 * width)).all()
+    reduced = _divide(limbs, p, width)
+    assert np.array_equal(limb_value(limbs, width) * p, value)
+    assert np.abs(limbs).max() < 2 ** (62 - p.bit_length())
+    assert np.array_equal(reduced, value // p % p)
+    limbs[0, 1, 1] += 1
+    with pytest.raises(ArithmeticError):
+        _divide(limbs, p, width)
+
+
+def signed_integers(rand, shape, bits):
+    """Nonzero integers below 2^bits in size, of random sign."""
+    values = [
+        rand.choice((-1, 1)) * rand.randrange(1, 2**bits) for _ in range(prod(shape))
+    ]
+    return np.array(values, dtype=object).reshape(shape)
+
+
+def certify_cases(p):
+    """Integer matrices of rank 1 to 128 with two or three non-pivot
+    columns, and whether their certificates pass:
+    - U @ V with entries of 60 to 200 bits and of either sign;
+    - at depths 1 and 64, the same with p times a random column added to
+      the last, which only a lifting to the Hadamard bound refutes;
+    - at each depth, entries +-(2^k - 1) with k a multiple of the limb
+      width, and the rank-1 matrix of entries -(2^k - 1): a negative entry
+      has the top limb -2^width, the largest in size."""
+    rand = random.Random(p)
+    cases = []
+    for depth, bits in zip(DEPTHS, (200, 140, 120, 60, 60)):
+        # small factors on the right keep the solutions, and so the lifting, short
+        grid = signed_integers(rand, (depth + 3, depth), bits) @ signed_integers(
+            rand, (depth, depth + 2), 2
+        )
+        cases.append((grid, True))
+        if depth in (1, 64):
+            broken = grid.copy()
+            broken[:, -1] += p * signed_integers(rand, (depth + 3,), 8)
+            cases.append((broken, False))
+        k = 4 * _limb_width(p, depth)
+        signs = signed_integers(rand, (depth, depth + 3), 1)
+        cases.append((signs * (2**k - 1), True))
+    cases.append((np.full((5, 4), -(2 ** (3 * _limb_width(p, 1)) - 1), dtype=object), True))
+    return cases
+
+
+@pytest.mark.parametrize("p", CERTIFY_PRIMES)
+def test_certificate_matches_the_reference_lifting(p):
+    for ints, expected in certify_cases(p):
+        cols, rows = _rank_modular((ints % p).astype(np.int64), p)
+        assert _certify(ints, rows, cols, p) == expected
+        assert reference_certify(ints, rows, cols, p) == expected
 
 
 def test_certified_profile_keeps_the_order_of_the_rows():
