@@ -449,9 +449,11 @@ def test_exact_division_of_extreme_limbs(p, depth):
     stored = 2 ** (62 - p.bit_length()) - 1
     rng = np.random.default_rng(depth)
     signs = rng.choice([-1, 1], size=(40, 3, 2))
+    signs[0] = 1
     product = np.full((1, depth), 2**width) @ np.full((depth, 2), p - 1)
     limbs = signs * stored - signs[::-1] * product
-    # the lowest limb moves toward zero to make the value a multiple of p
+    # the lowest stored limb, at + stored, moves toward zero to make the
+    # value a multiple of p
     value = limb_value(limbs, width)
     limbs[0] -= (value % p).astype(np.int64)
     value = limb_value(limbs, width)
