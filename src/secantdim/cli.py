@@ -164,6 +164,11 @@ def build_parser() -> argparse.ArgumentParser:
         "verify",
         help="run a verification suite",
         usage="%(prog)s {dictionary,theorem,castelnuovo} [options]",
+        description=(
+            "theorem and castelnuovo check the induction step for d >= 3 and "
+            "skip every cell with d < 3; a grid of such cells reports "
+            "cellsChecked 0"
+        ),
     )
     p_ver.add_argument(
         "target", choices=("dictionary", "theorem", "castelnuovo")

@@ -249,8 +249,9 @@ def _rank_modular(grid: np.ndarray, p: int) -> tuple[list[int], list[int]]:
     fully reduced elimination. Each pivot adds below * (-pivot row / head)
     to it, a product of two residues, and the block is reduced only before
     an update that could carry an entry past 2^63; the pivot column and the
-    pivot row are reduced as they are read. The column below a pivot is
-    never read again, so it is left as it is.
+    pivot row are reduced as they are read, the column once for the pivot
+    search, the row swap and the update. The column below a pivot is never
+    read again, so it is left as it is.
     """
     # a reduced, row-major working copy, whatever the layout of grid
     grid = np.remainder(grid, p, order="C")
@@ -262,23 +263,29 @@ def _rank_modular(grid: np.ndarray, p: int) -> tuple[list[int], list[int]]:
     pending = 0
     r = 0
     for c in range(ncols):
-        if not grid[r, c] % p:
-            (rest,) = (grid[r + 1 :, c] % p).nonzero()
-            if not rest.size:
-                continue
-            pivot = r + 1 + int(rest[0])
-            grid[[r, pivot]] = grid[[pivot, r]]
-            order[r], order[pivot] = order[pivot], order[r]
+        column = grid[r:, c] % p
+        (nonzero,) = column.nonzero()
+        if not nonzero.size:
+            continue
+        pivot = int(nonzero[0])
+        if pivot:
+            # the head was 0 mod p; the columns left of c are never read
+            # again, so only the rest of the two rows is swapped
+            other = r + pivot
+            head = grid[other, c:].copy()
+            grid[other, c:] = grid[r, c:]
+            grid[r, c:] = head
+            column[0], column[pivot] = column[pivot], 0
+            order[r], order[other] = order[other], order[r]
         pivots.append(c)
         if r + 1 == nrows:
             return pivots, order
-        below = grid[r + 1 :, c] % p
-        factor = grid[r, c + 1 :] % p * (p - pow(int(grid[r, c]) % p, -1, p)) % p
+        factor = grid[r, c + 1 :] % p * (p - pow(int(column[0]), -1, p)) % p
         block = grid[r + 1 :, c + 1 :]
         if pending == lag:
             np.remainder(block, p, out=block)
             pending = 0
-        block += np.outer(below, factor)
+        block += column[1:, None] * factor
         pending += 1
         r += 1
     return pivots, order[:r]

@@ -15,8 +15,11 @@ everything a doubled modular run could, and
 only a shortfall that survives it is a defect candidate. Certification never
 needs escalation because a modular rank cannot overshoot.
 
-The theorem suite splits each case across H once, by castelnuovo_check, and
-its base-locus and projection checks read their dimensions from that split.
+The theorem suite eliminates each case's spanned configuration once: its
+v-span rows come last, so one row rank profile gives the base-locus check
+the dimension before and after the spans are attached, and the Castelnuovo
+check its total. The case is split across H once, and the projection check
+reads its residual dimension from that split.
 """
 
 from __future__ import annotations
@@ -30,17 +33,18 @@ from .expected import defect, expected_scheme_dim, thresholds
 from .linalg import brief, check_size
 from .schemes import (
     CastelnuovoCheck,
+    ResidualTracePair,
     SchemeSpec,
     _row_bound,
     add_v_spans,
     best_scheme_dimension,
-    castelnuovo_check,
     projected_scheme,
     residual_trace,
     sample_scheme,
     scheme_basis_size,
     scheme_ideal_dimension,
     scheme_to_dict,
+    v_span_dimensions,
     verify_dictionary,
 )
 from .terracini import (
@@ -343,9 +347,10 @@ def verify_theorem_suite(
 @dataclass(frozen=True)
 class _Case:
     """One configuration of the theorem suite: s = (n+1)q double points and
-    t spans. The base-locus and projection checks read the spanned and
-    residual dimensions from its castelnuovo_check, so each scheme dimension
-    is computed once."""
+    t spans. Each scheme dimension is computed once: the scheme and the
+    spanned configuration from one elimination (base_locus), which gives
+    castelnuovo its total, and the residual and trace of the one split,
+    whose residual dimension the projection check reads."""
 
     params: SegreVeroneseParams
     q: int
@@ -375,9 +380,26 @@ class _Case:
         return add_v_spans(self.scheme)
 
     @cached_property
-    def castelnuovo(self) -> CastelnuovoCheck:
+    def base_locus(self) -> tuple[int, int]:
+        """Degree-(d+1) dimensions of the scheme and the spanned configuration,
+        whose rows extend the scheme's by the v-span rows."""
+        return v_span_dimensions(self.spanned, self.params.d + 1, self.cfg.field)
+
+    @cached_property
+    def split(self) -> ResidualTracePair:
         """The spanned configuration in degree d+1, split across H."""
-        return castelnuovo_check(self.spanned, self.params.d + 1, self.cfg.field)
+        return residual_trace(self.spanned, self.params.d + 1)
+
+    @cached_property
+    def castelnuovo(self) -> CastelnuovoCheck:
+        """The spanned configuration's total against its residual and trace,
+        the total read from base_locus."""
+        split, field = self.split, self.cfg.field
+        return CastelnuovoCheck(
+            self.base_locus[1],
+            scheme_ideal_dimension(split.residual, split.residual_degree, field),
+            scheme_ideal_dimension(split.trace, split.trace_degree, field),
+        )
 
 
 def _run_checks(case: _Case, names: Sequence[str]) -> list[dict]:
@@ -401,8 +423,7 @@ def _check_formula(case: _Case) -> dict | None:
 
 
 def _check_base_locus(case: _Case) -> dict | None:
-    before = scheme_ideal_dimension(case.scheme, case.params.d + 1, case.cfg.field)
-    after = case.castelnuovo.total
+    before, after = case.base_locus
     if before == after:
         return None
     return {"before": before, "after": after, "scheme": scheme_to_dict(case.scheme)}
@@ -421,7 +442,7 @@ def _check_castelnuovo(case: _Case) -> dict | None:
 
 
 def _check_projection(case: _Case) -> dict | None:
-    residual = residual_trace(case.spanned, case.params.d + 1).residual
+    residual = case.split.residual
     residual_dim = case.castelnuovo.residual
     projected = projected_scheme(residual)
     projected_dim = scheme_ideal_dimension(projected, residual.d, case.cfg.field)

@@ -16,6 +16,7 @@ the monomial basis, everything else by explicit condition rows.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from itertools import product
@@ -26,9 +27,11 @@ import numpy as np
 
 from .linalg import (
     FieldConfig,
+    Matrix,
     check_size,
     ideal_dimension,
     matrix_from_rows,
+    rank_profile,
     require_headroom,
 )
 from .monomials import (
@@ -330,38 +333,68 @@ def _row_bound(
 def scheme_ideal_dimension(
     spec: SchemeSpec, degree: int, cfg: FieldConfig
 ) -> int:
-    """Exact dimension of the degree piece of the configuration's ideal.
+    """Exact dimension of the degree piece of the configuration's ideal."""
+    mat, _ = _condition_matrix(spec, degree, cfg)
+    return ideal_dimension(mat, cfg)
 
-    The condition matrix takes one row-kernel call per kind of row: every
-    double point at once, then every simple point, then every span (free
-    anchors first, then the spans at listed points). The blocks are stacked
-    in that order and eliminated once.
+
+def v_span_dimensions(
+    spec: SchemeSpec, degree: int, cfg: FieldConfig
+) -> tuple[int, int]:
+    """Exact dimensions of the degree piece of the ideal of the configuration
+    without its v-spans and with them, from one elimination.
+
+    The v-span rows come last, so the rows above them are the condition
+    matrix of the configuration without its v-spans, and one row rank
+    profile gives the rank of both.
+    """
+    mat, bare = _condition_matrix(spec, degree, cfg, split_v_spans=True)
+    profile = rank_profile(mat, cfg)
+    return mat.cols - bisect_left(profile, bare), mat.cols - len(profile)
+
+
+def _condition_matrix(
+    spec: SchemeSpec, degree: int, cfg: FieldConfig, split_v_spans: bool = False
+) -> tuple[Matrix, int]:
+    """The configuration's condition matrix in degree, whose kernel is the
+    degree piece of its ideal, and the number of its rows above the rows of
+    the last span_rows call. A matrix above the size limit is refused before
+    any row is built.
+
+    The matrix takes one row-kernel call per kind of row, stacked in this
+    order: every double point at once, every simple point, then the spans,
+    the free anchors first and the spans at listed points (the v-spans)
+    last. With split_v_spans the v-spans take a span_rows call of their own,
+    so the count is that of the rows above the v-span rows.
     """
     require_headroom(cfg, degree)
     size = scheme_basis_size(spec, degree)
     if not size:
-        return 0
+        return matrix_from_rows([], 0, cfg), 0
     check_size(
         _row_bound(spec, degree),
         size,
         f"the degree-{degree} piece of a scheme at {(spec.n, spec.m, spec.d)}",
     )
     basis = scheme_basis(spec, degree)
-    anchors = spec.w_anchors + tuple(
-        _combined_point(spec, idx) for idx in spec.v_spans
-    )
+    v_anchors = tuple(_combined_point(spec, idx) for idx in spec.v_spans)
+    if split_v_spans:
+        span_calls = [spec.w_anchors, v_anchors]
+    else:
+        span_calls = [spec.w_anchors + v_anchors]
     # a double point imposes every first partial; by Euler its value row is
     # a combination of them, since the modulus exceeds the degree
-    blocks = []
+    blocks = [np.zeros((0, size), dtype=cfg.dtype)]
     if spec.double_points:
         coords = [pt.coords for pt in spec.double_points]
         blocks.append(derivative_rows(basis, coords, cfg))
     if spec.simple_points:
         blocks.append(evaluation_row(basis, spec.simple_points, cfg))
-    if anchors:
-        blocks.append(span_rows(basis, spec.n, anchors, cfg))
-    rows = np.concatenate(blocks) if blocks else []
-    return ideal_dimension(matrix_from_rows(rows, len(basis), cfg), cfg)
+    for anchors in span_calls:
+        above = sum(map(len, blocks))
+        if anchors:
+            blocks.append(span_rows(basis, spec.n, anchors, cfg))
+    return matrix_from_rows(np.concatenate(blocks), size, cfg), above
 
 
 def sample_scheme(

@@ -175,6 +175,15 @@ def _main_json(capsys, *args):
     return json.loads(capsys.readouterr().out)
 
 
+def test_verify_says_it_skips_cells_below_degree_three(capsys):
+    proc = run_cli("verify", "--help")
+    assert proc.returncode == 0
+    assert "skip every cell with d < 3" in " ".join(proc.stdout.split())
+    for target in ("theorem", "castelnuovo"):
+        report = _main_json(capsys, "verify", target, "--grid", "(1,1,2)")
+        assert report == {"cellsChecked": 0, "failures": []}
+
+
 def test_grid_scans_only_the_listed_cells(capsys):
     listed = _main_json(capsys, "scan", "--grid", "(2,1,3);(1,2,3);(2,1,3)")
     assert sorted({(r["n"], r["m"], r["d"]) for r in listed}) == [

@@ -31,9 +31,17 @@ from secantdim.linalg import (
     rank,
     rank_profile,
 )
+from secantdim.schemes import (
+    _condition_matrix,
+    add_v_spans,
+    projected_scheme,
+    residual_trace,
+    sample_scheme,
+)
 from secantdim.terracini import (
     SampleConfig,
     SegreVeroneseParams,
+    derived_rng,
     derived_seed,
     sample_point_pairs,
     tangent_block,
@@ -383,6 +391,51 @@ def test_delayed_reduction_matches_the_reference_kernel(p):
         ranks.append(len(pivots))
     # every case but the all-(p - 1) one runs through at least 25 pivots
     assert ranks == [40, 40, 30, 25, 1, 30] * 2
+
+
+def scheme_cases(p):
+    """The condition matrices of theorem-suite cases drawn from range(p):
+    for each of a few verify-grid cells, q and t, the scheme and the spanned
+    configuration, both halves of the split and the projected residual. About
+    half their entries are zero, and at about half the pivots the head is
+    zero and the search runs."""
+    field = FieldConfig(modulus=p)
+    cases = []
+    for n, m, d in [(1, 1, 3), (1, 3, 4), (2, 2, 3), (3, 1, 4), (3, 2, 3)]:
+        for q, t in [(1, 0), (1, 2), (2, 1)]:
+            params = SegreVeroneseParams(n, m, d)
+            rng = derived_rng(p, n, m, d, q, t)
+            scheme = sample_scheme(
+                params, (n + 1) * q, t, rng, p, specialize=True
+            )
+            spanned = add_v_spans(scheme)
+            split = residual_trace(spanned, d + 1)
+            for spec, degree in [
+                (scheme, d + 1),
+                (spanned, d + 1),
+                (split.residual, split.residual_degree),
+                (split.trace, split.trace_degree),
+                (projected_scheme(split.residual), d),
+            ]:
+                mat, _ = _condition_matrix(spec, degree, field)
+                if mat.rows:
+                    cases += [mat.entries, mat.entries.T]
+    return cases
+
+
+@pytest.mark.parametrize("p", KERNEL_PRIMES)
+def test_kernel_matches_the_reference_on_scheme_matrices(p):
+    swapped = pivot_count = zeros = entries = 0
+    for grid in scheme_cases(p):
+        pivots, rows = _rank_modular(grid, p)
+        assert (pivots, rows) == reference_rank_modular(grid, p)
+        zeros += (grid % p == 0).sum()
+        entries += grid.size
+        # the search's row swaps leave these pivot rows out of order
+        swapped += sum(row != i for i, row in enumerate(rows))
+        pivot_count += len(pivots)
+    assert 0.3 < zeros / entries < 0.7
+    assert swapped > pivot_count / 2
 
 
 P = DEFAULT_MODULUS

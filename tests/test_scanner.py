@@ -408,17 +408,24 @@ def _forced_failures(monkeypatch) -> VerifySummary:
     The offset is superadditive in the double points, so a total beats the
     residual plus the trace it splits into; it also moves with the frame
     and the spans, so a projection or an added base-locus span changes it.
+    v_span_dimensions offsets each of its two dimensions as
+    scheme_ideal_dimension would offset that configuration's.
     """
     real = schemes.scheme_ideal_dimension
+    real_pair = schemes.v_span_dimensions
+
+    def shift(spec):
+        return 10**6 * len(spec.double_points) ** 2 + spec.n + len(spec.v_spans)
 
     def offset(spec, degree, cfg):
-        shift = 10**6 * len(spec.double_points) ** 2
-        return real(spec, degree, cfg) + shift + spec.n + len(spec.v_spans)
+        return real(spec, degree, cfg) + shift(spec)
 
-    for module in _secantdim_modules():
-        for name, value in list(vars(module).items()):
-            if value is real:
-                monkeypatch.setattr(module, name, offset)
+    def offset_pair(spec, degree, cfg):
+        before, total = real_pair(spec, degree, cfg)
+        bare = dataclasses.replace(spec, v_spans=())
+        return before + shift(bare), total + shift(spec)
+
+    _replace_everywhere(monkeypatch, {real: offset, real_pair: offset_pair})
     cfg = SampleConfig(seed=5, trials=1)
     grid = ScanGrid(n_values=(1, 2), m_values=(1,), d_values=(3,))
     suite = verify_theorem_suite(grid, cfg, q_max=1, t_max=1)
@@ -429,6 +436,16 @@ def _forced_failures(monkeypatch) -> VerifySummary:
         suite.cells_checked + dictionary.cells_checked,
         suite.failures + dictionary.failures,
     )
+
+
+def _replace_everywhere(monkeypatch, replacements):
+    """Rebind every secantdim module attribute that is a key of replacements
+    (compared by identity) to its value."""
+    for module in _secantdim_modules():
+        for name, value in list(vars(module).items()):
+            for original, replacement in replacements.items():
+                if value is original:
+                    monkeypatch.setattr(module, name, replacement)
 
 
 def _secantdim_modules():
@@ -459,41 +476,61 @@ def test_failure_reports_match_the_golden_bytes(monkeypatch):
 
 
 def test_verify_theorem_suite_computes_each_scheme_dimension_once(monkeypatch):
-    """Work pin: within one case no (spec, degree) is computed twice, and
-    best over trials stops at the first draw that reaches the row floor.
+    """Work pin: the scheme eliminations each case runs, no (spec, degree)
+    computed twice within a case, and best over trials stopping at the
+    first draw that reaches the row floor.
 
     On (1, 1, 3) with q = 1 and t in {0, 1}, every draw is generic and
     generic dimensions sit at the floor, so each best over trials takes one
-    draw. Per q, the dictionary's scheme side: 1, computed for the row
-    before its cases run, outside _run_checks. Per t: the formula 1,
-    the base locus 2 (scheme and spanned), Castelnuovo 2 (residual and
-    trace; its total is the spanned one), the projection 1 (projected; its
-    residual is Castelnuovo's): 6. In all 1 + 2 * 6 = 13.
+    draw. Eliminations per q, for the dictionary's scheme side: 1, run for
+    the row before its cases, outside _run_checks. Per t: the formula 1,
+    the base locus 1 (the scheme and the spanned configuration from one
+    rank profile, whose full rank is also Castelnuovo's total), Castelnuovo
+    2 (residual and trace), the projection 1 (projected; its residual is
+    Castelnuovo's): 5. In all 1 + 2 * 5 = 11.
     """
     real = schemes.scheme_ideal_dimension
+    real_pair = schemes.v_span_dimensions
     real_run = scanner._run_checks
-    # the first list collects what runs outside any case: the dictionary
-    cases: list[list] = [[]]
+    # per case, the (spec, degree) asked for and the eliminations run; the
+    # first entry collects what runs outside any case: the dictionary
+    asked: list[list] = [[]]
+    eliminated: list[int] = [0]
 
     def counted(spec, degree, cfg):
-        cases[-1].append((spec, degree))
+        asked[-1].append((spec, degree))
         return real(spec, degree, cfg)
 
+    def counted_pair(spec, degree, cfg):
+        bare = dataclasses.replace(spec, v_spans=())
+        asked[-1] += [(bare, degree), (spec, degree)]
+        return real_pair(spec, degree, cfg)
+
+    def eliminating(fn):
+        def run(mat, cfg):
+            eliminated[-1] += 1
+            return fn(mat, cfg)
+
+        return run
+
     def run_case(case, names):
-        cases.append([])
+        asked.append([])
+        eliminated.append(0)
         return real_run(case, names)
 
-    for module in _secantdim_modules():
-        for name, value in list(vars(module).items()):
-            if value is real:
-                monkeypatch.setattr(module, name, counted)
+    _replace_everywhere(monkeypatch, {real: counted, real_pair: counted_pair})
+    # every elimination of a scheme's condition matrix, and only those
+    for name in ("ideal_dimension", "rank_profile"):
+        monkeypatch.setattr(schemes, name, eliminating(getattr(schemes, name)))
     monkeypatch.setattr(scanner, "_run_checks", run_case)
     grid = ScanGrid(n_values=(1,), m_values=(1,), d_values=(3,))
     summary = verify_theorem_suite(
         grid, SampleConfig(seed=0, trials=2), q_max=1, t_max=1
     )
     assert summary.ok
-    assert [len(calls) for calls in cases] == [1, 6, 6]
-    for calls in cases:
+    assert eliminated == [1, 5, 5]
+    assert sum(eliminated) == 11
+    # the pair asks for two dimensions per elimination
+    assert [len(calls) for calls in asked] == [1, 6, 6]
+    for calls in asked:
         assert len(set(calls)) == len(calls)
-    assert sum(len(calls) for calls in cases) == 13

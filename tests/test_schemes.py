@@ -3,6 +3,7 @@
 import dataclasses
 import json
 from collections import Counter
+from itertools import product
 from math import comb
 
 import numpy as np
@@ -11,7 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from secantdim import schemes
-from secantdim.linalg import FieldConfig, matrix_from_rows, rank
+from secantdim.linalg import DEFAULT_MODULUS, FieldConfig, matrix_from_rows, rank
 from secantdim.monomials import derivative_rows, evaluation_row, graded_basis
 from secantdim.schemes import (
     SchemePoint,
@@ -30,6 +31,7 @@ from secantdim.schemes import (
     scheme_ideal_dimension,
     scheme_to_dict,
     span_rows,
+    v_span_dimensions,
     verify_dictionary,
 )
 from secantdim.terracini import (
@@ -634,6 +636,71 @@ def test_scheme_matrix_takes_one_kernel_call_per_kind_of_row(configurations):
             calls.clear()
             scheme_ideal_dimension(spec, degree, MOD)
             assert max(calls.values(), default=0) <= 1
+
+
+def v_span_cases(modulus):
+    """Configurations with v-spans, drawn from range(modulus): every
+    specialized spanned case of the theorem suite at n, m <= 2, d in {3, 4},
+    q in {1, 2} and t in {0, 1, 2} (n = 1 frames among them); one without
+    double points, whose v-spans sit at simple points; and flag-free ones,
+    whose v-spans raise the rank, with their degree and whether they do."""
+    cases = []
+    for n, m, d, q, t in product((1, 2), (1, 2), (3, 4), (1, 2), (0, 1, 2)):
+        params = SegreVeroneseParams(n, m, d)
+        rng = derived_rng(n, m, d, q, t, modulus)
+        special = sample_scheme(
+            params, (n + 1) * q, t, rng, modulus, specialize=True
+        )
+        cases.append((add_v_spans(special), d + 1, False))
+    rng = derived_rng(modulus, 1)
+    # (n, m, d, fat_h1, double points, simple points), one free anchor each
+    for n, m, d, fat, doubles, simples in [
+        (2, 1, 3, 3, 0, 3),
+        (2, 2, 3, 0, 2, 1),
+        (1, 2, 3, 0, 1, 2),
+    ]:
+        points = [
+            draw_projective_point(rng, n + m + 1, modulus, nonzero_tail=m + 1)
+            for _ in range(doubles + simples + 1)
+        ]
+        spec = SchemeSpec(
+            n=n,
+            m=m,
+            d=d,
+            fat_h1=fat,
+            double_points=tuple(map(SchemePoint, points[:doubles])),
+            simple_points=tuple(points[doubles:-1]),
+            w_anchors=tuple(points[-1:]),
+            v_spans=tuple(range(doubles + simples)),
+        )
+        cases.append((spec, d + 1, fat == 0))
+    return cases
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [
+        FieldConfig(modulus=7),
+        FieldConfig(modulus=11),
+        MOD,
+        MOD.to_rational(),
+    ],
+    ids=["p7", "p11", "default", "exact"],
+)
+def test_v_span_dimensions_equal_two_eliminations(cfg):
+    raised = 0
+    for spec, degree, raises in v_span_cases(cfg.modulus):
+        bare = dataclasses.replace(spec, v_spans=())
+        pair = v_span_dimensions(spec, degree, cfg)
+        assert pair == (
+            scheme_ideal_dimension(bare, degree, cfg),
+            scheme_ideal_dimension(spec, degree, cfg),
+        )
+        if raises:
+            # the prefix rank is not the full rank
+            assert pair[0] > pair[1]
+            raised += 1
+    assert raised == 2
 
 
 BEST_CASES = [
