@@ -209,7 +209,9 @@ def rank(mat: Matrix, cfg: FieldConfig) -> int:
     Row and column rank agree, so the orientation is free. Over GF(p) the
     one with fewer rows is eliminated: it needs fewer pivot steps. Over Q
     the one with fewer columns is: the certificate must express each of its
-    non-pivot columns, and a tall tangent matrix has only 1 to 3 of them.
+    non-pivot columns, and there are min(rows, cols) - rank of them. A
+    stacked tangent matrix keeps no Euler-redundant row, so that count is
+    the true shortfall, and a full-rank cell has none.
     """
     transpose = mat.rows > mat.cols if cfg.is_modular else mat.cols > mat.rows
     return len(_pivot_columns(mat, cfg, transpose))

@@ -35,6 +35,7 @@ from .linalg import (
     require_headroom,
 )
 from .monomials import (
+    CACHE_SIZE,
     ExponentVector,
     derivative_rows,
     evaluation_row,
@@ -176,18 +177,17 @@ def scheme_basis(spec: SchemeSpec, degree: int) -> tuple[ExponentVector, ...]:
     """Monomial basis of the degree piece cut down by the flag components.
 
     The basis depends only on the frame, the flag and the degree, so it is
-    built once per such key (a small cache) and shared by every caller.
+    built once per such key (a cache that holds every key of a verify
+    report) and shared by every caller.
     """
     if degree < 0:
         raise ValueError("degree must be non-negative")
-    return _flag_basis(
-        spec.n, spec.m, spec.d, spec.fat_h1, spec.include_h2, degree
-    )
+    return _flag_basis(spec.n, spec.m, spec.fat_h1, spec.include_h2, degree)
 
 
-@lru_cache(maxsize=32)
+@lru_cache(maxsize=CACHE_SIZE)
 def _flag_basis(
-    n: int, m: int, d: int, fat_h1: int, include_h2: bool, degree: int
+    n: int, m: int, fat_h1: int, include_h2: bool, degree: int
 ) -> tuple[ExponentVector, ...]:
     keep: list[ExponentVector] = []
     for mono in graded_basis(n + m + 1, degree).monomials:
@@ -243,7 +243,7 @@ class _ChartTerms:
     beta: np.ndarray
 
 
-@lru_cache(maxsize=8)
+@lru_cache(maxsize=CACHE_SIZE)
 def _chart_terms(basis: tuple[ExponentVector, ...], n: int) -> _ChartTerms:
     width = max(max(mono) for mono in basis) + 1
     column, gammas, multinomial, lowered = [], [], [], []

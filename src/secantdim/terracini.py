@@ -4,8 +4,11 @@ A tangent block collects all n+m+2 first partials of the bidegree-(1,d)
 monomials at one sampled point. The two Euler identities make one row
 redundant, so a single block has rank at most n+m+1; stacking s blocks
 realizes the span of s tangent spaces and the secant dimension is that rank
-minus one. Sampling happens at explicit points, so each computed rank lower
-bounds the generic one: equality with the expected count certifies, a
+minus one. The stacked matrix that ranks are taken of leaves that row out:
+it keeps n+m+1 rows per point, which span the same space (see
+stacked_tangent_matrix), so every rank and every report is the same as with
+the full blocks. Sampling happens at explicit points, so each computed rank
+lower bounds the generic one: equality with the expected count certifies, a
 shortfall is only a candidate.
 """
 
@@ -14,7 +17,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from math import comb
-from typing import Iterable
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -179,6 +182,30 @@ def sample_point_pairs(
     ]
 
 
+def stacked_tangent_matrix(
+    params: SegreVeroneseParams, points: Sequence[PointPair], cfg: FieldConfig
+) -> Matrix:
+    """The tangent blocks of the points stacked, each less one y-partial row:
+    n+m+1 rows per point, the n+1 x-partials and then the y-partials.
+
+    At (a, b) Euler gives sum_j b_j dF/dy_j = d sum_i a_i dF/dx_i for every
+    form F of bidegree (1, d). So where b_j0 is the first y-coordinate that
+    is nonzero in the field (mod p over GF(p)), the row dF/dy_j0 is a
+    combination of the point's other rows, and it is left out. So the rows
+    of the first s points span what their s full blocks span: the first
+    s(n+m+1) rows have the rank of the first s(n+m+2) rows of the full stack.
+    """
+    require_headroom(cfg, params.d + 1)
+    monos = bihomogeneous_basis(params.n, params.m, 1, params.d).combined()
+    rows = derivative_rows(monos, [pt.p + pt.q for pt in points], cfg)
+    nonzero = cfg.array([pt.q for pt in points]) != 0
+    if not nonzero.any(axis=1).all():
+        raise ValueError("a point's P^m coordinates all vanish in the field")
+    block = params.n + params.m + 2
+    dropped = block * np.arange(len(points)) + params.n + 1 + nonzero.argmax(1)
+    return matrix_from_rows(np.delete(rows, dropped, axis=0), len(monos), cfg)
+
+
 def best_ranks(
     params: SegreVeroneseParams,
     s_values: Iterable[int],
@@ -188,10 +215,14 @@ def best_ranks(
     """Best rank of s stacked tangent blocks over the draws of trials
     first_trial .. cfg.trials - 1, per s.
 
-    Each trial draws max(s) points once; the matrix for s is the first s
-    blocks of the one for max(s), so a single rank profile yields every
-    prefix rank. A rank never exceeds its cap min(N+1, s(n+m+1)), so each
-    later trial runs only for the s still below it, up to the largest.
+    Each trial draws max(s) points once and ranks stacked_tangent_matrix of
+    them, n+m+1 rows per point: the Euler-redundant row of each block is
+    left out, which changes no rank, and over Q the certificate then has
+    only the true shortfall left to prove. The matrix for s is the first
+    s(n+m+1) rows of the one for max(s), so a single rank profile yields
+    every prefix rank. A rank never exceeds its cap min(N+1, s(n+m+1)), so
+    each later trial runs only for the s still below it, up to the largest.
+    The size check counts the full blocks, which are built before the drop.
     """
     # an increasing range is already sorted and distinct; a theorem range
     # can be far too long to list, and the size check refuses it first
@@ -206,28 +237,23 @@ def best_ranks(
         params.coefficient_count,
         f"s = {brief(wanted[-1])} at {brief((params.n, params.m, params.d))}",
     )
-    monos = bihomogeneous_basis(params.n, params.m, 1, params.d).combined()
+    kept = block - 1
     best = dict.fromkeys(wanted, 0)
     for trial in range(first_trial, cfg.trials):
         open_s = [
-            s
-            for s in wanted
-            if best[s] < min(params.coefficient_count, s * (block - 1))
+            s for s in wanted if best[s] < min(params.coefficient_count, s * kept)
         ]
         if not open_s:
             break
-        points = [
-            pt.p + pt.q for pt in sample_point_pairs(params, open_s[-1], cfg, trial)
-        ]
-        rows = derivative_rows(monos, points, cfg.field)
-        mat = matrix_from_rows(rows, len(monos), cfg.field)
+        points = sample_point_pairs(params, open_s[-1], cfg, trial)
+        mat = stacked_tangent_matrix(params, points, cfg.field)
         if len(open_s) == 1:
             # one s needs only the rank of the whole matrix
             best[open_s[0]] = max(best[open_s[0]], rank(mat, cfg.field))
             continue
         profile = rank_profile(mat, cfg.field)
         for s in open_s:
-            best[s] = max(best[s], bisect_left(profile, s * block))
+            best[s] = max(best[s], bisect_left(profile, s * kept))
     return best
 
 

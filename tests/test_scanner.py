@@ -38,7 +38,7 @@ from secantdim.scanner import (
     verify_dictionary_grid,
     verify_theorem_suite,
 )
-from secantdim import scanner, schemes, terracini
+from secantdim import linalg, monomials, scanner, schemes, terracini
 from secantdim.terracini import SampleConfig, SegreVeroneseParams
 
 
@@ -151,10 +151,10 @@ def test_scan_cell_defect_survives_exact_backend():
     "args, expected",
     [
         # the pass ranks trial 0, the escalation only trial 1
-        (("dim", "2", "3", "2", "5"), [("rank", 35)] * 2),
+        (("dim", "2", "3", "2", "5"), [("rank", 30)] * 2),
         # the pass is one profile over trial 0, the escalation of s = 5
         # ranks trial 1 alone
-        (("scan", "--grid", "(2,3,2)"), [("rank_profile", 49), ("rank", 35)]),
+        (("scan", "--grid", "(2,3,2)"), [("rank_profile", 42), ("rank", 30)]),
     ],
 )
 def test_exact_pass_escalates_without_reranking_its_own_draws(
@@ -178,6 +178,31 @@ def test_exact_pass_escalates_without_reranking_its_own_draws(
     records = json.loads(capsys.readouterr().out)
     assert [r["defect"] for r in records if r["s"] == 5] == [1]
     assert eliminations == expected
+
+
+def test_exact_certificates_prove_only_the_true_shortfall(monkeypatch, capsys):
+    # the non-pivot column count of every certificate
+    counts = []
+    real = linalg._certify
+
+    def counted(ints, rows, cols, p):
+        counts.append(ints.shape[1] - len(cols))
+        return real(ints, rows, cols, p)
+
+    monkeypatch.setattr(linalg, "_certify", counted)
+    # a full-rank cell: 133 independent rows of 140 columns leave nothing
+    # to lift
+    args = ["dim", "3", "3", "4", "19", "--backend", "exact", "--trials", "1"]
+    assert main(args) == 0
+    assert json.loads(capsys.readouterr().out)[0]["defect"] == 0
+    assert counts == [0]
+    counts.clear()
+    # the defect of 1 at (4, 3, 2), s = 6: each trial's 48 x 50 matrix, taken
+    # as its transpose, leaves one non-pivot column, where the full blocks
+    # (54 x 50) left three
+    rec = scan_cell(SegreVeroneseParams(4, 3, 2), 6, SampleConfig(seed=0))
+    assert (rec.defect, rec.trials) == (1, 4)
+    assert counts == [1] * 4
 
 
 def test_scan_cell_rejects_a_rank_above_the_parameter_count():
@@ -534,3 +559,21 @@ def test_verify_theorem_suite_computes_each_scheme_dimension_once(monkeypatch):
     assert [len(calls) for calls in asked] == [1, 6, 6]
     for calls in asked:
         assert len(set(calls)) == len(calls)
+
+
+def test_warm_verify_report_misses_no_basis_cache():
+    # a second report on the same grid asks for the same bases, flag bases
+    # and chart layouts (the points differ, the bases do not), and every one
+    # is still cached: 66 of them, 48 and 36 on the benchmark's grid
+    caches = (monomials._exponents, schemes._flag_basis, schemes._chart_terms)
+    grid = grid_from_ranges(n_max=2, m_max=2, d_min=3, d_max=4)
+
+    def report(seed):
+        verify_theorem_suite(grid, SampleConfig(seed=seed), q_max=2, t_max=2)
+
+    report(7)
+    before = [cache.cache_info() for cache in caches]
+    report(8)
+    after = [cache.cache_info() for cache in caches]
+    assert all(a.hits > b.hits for a, b in zip(after, before))
+    assert [a.misses - b.misses for a, b in zip(after, before)] == [0, 0, 0]

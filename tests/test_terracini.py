@@ -1,14 +1,24 @@
 """Tangent blocks and sampled secant dimensions."""
 
+from bisect import bisect_left
 from math import comb
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from secantdim import terracini
 from secantdim.expected import expected_secant_dim
-from secantdim.linalg import MAX_MATRIX_ENTRIES, FieldConfig, matrix_from_rows, rank
+from secantdim.linalg import (
+    DEFAULT_MODULUS,
+    EXACT_RATIONAL,
+    MAX_MATRIX_ENTRIES,
+    FieldConfig,
+    matrix_from_rows,
+    rank,
+    rank_profile,
+)
 from secantdim.monomials import bihomogeneous_basis, derivative_rows, evaluation_row
 from secantdim.terracini import (
     MAX_COUNT_DIGITS,
@@ -22,6 +32,7 @@ from secantdim.terracini import (
     random_point_pair,
     sample_point_pairs,
     secant_dimension,
+    stacked_tangent_matrix,
     tangent_block,
 )
 
@@ -110,6 +121,70 @@ def test_euler_relation_is_exact_on_blocks():
                 for j in range(m + 1)
             )
             assert (d * x_part - y_part) % p == 0
+
+
+def _hand_made_points(params, p):
+    """Points whose leading P^m coordinates vanish in GF(p): plain zeros,
+    and nonzero multiples of p, which vanish mod p but not over Q."""
+    x = tuple(range(1, params.n + 2))
+    ys = (
+        (0,) * params.m + (3,),
+        (0, 4) + (1,) * (params.m - 1),
+        tuple(p * (j + 1) for j in range(params.m)) + (5,),
+    )
+    return [PointPair(x, y) for y in ys]
+
+
+@pytest.mark.parametrize(
+    "field",
+    [
+        FieldConfig(modulus=7),
+        FieldConfig(modulus=11),
+        FieldConfig(modulus=DEFAULT_MODULUS),
+        FieldConfig(modulus=7, backend=EXACT_RATIONAL),
+    ],
+    ids=["p7", "p11", "default", "exact"],
+)
+@pytest.mark.parametrize(
+    "n, m, d", [(1, 1, 3), (2, 1, 2), (1, 2, 3), (2, 3, 2), (2, 2, 1), (1, 3, 4)]
+)
+def test_reduced_stack_has_every_prefix_rank_of_the_full_blocks(n, m, d, field):
+    # the Euler-redundant row is dropped at the first y-coordinate nonzero
+    # in the field; at the hand-made points that is not y_0, and over GF(7)
+    # the leading multiples of 7 do not count as nonzero
+    params = SegreVeroneseParams(n, m, d)
+    rng = derived_rng(45, n, m, d)
+    points = [random_point_pair(params, rng, field.modulus) for _ in range(12)]
+    for i, pt in enumerate(_hand_made_points(params, field.modulus)):
+        points.insert(4 * i, pt)
+    full = matrix_from_rows(
+        np.vstack([tangent_block(params, pt, field).entries for pt in points]),
+        params.coefficient_count,
+        field,
+    )
+    reduced = stacked_tangent_matrix(params, points, field)
+    kept = n + m + 1
+    assert reduced.rows == kept * len(points)
+    assert rank(reduced, field) == rank(full, field)
+    full_profile = rank_profile(full, field)
+    reduced_profile = rank_profile(reduced, field)
+    steps = range(len(points) + 1)
+    assert [bisect_left(reduced_profile, s * kept) for s in steps] == [
+        bisect_left(full_profile, s * (kept + 1)) for s in steps
+    ]
+    # a prefix can fill every column before it reaches a hand-made point
+    for pt in points:
+        assert rank(stacked_tangent_matrix(params, [pt], field), field) == rank(
+            tangent_block(params, pt, field), field
+        )
+
+
+def test_reduced_stack_refuses_a_point_that_vanishes_in_the_field():
+    params = SegreVeroneseParams(1, 1, 3)
+    point = PointPair((1, 2), (7, 14))
+    assert stacked_tangent_matrix(params, [point], MOD).rows == 3
+    with pytest.raises(ValueError, match="vanish"):
+        stacked_tangent_matrix(params, [point], FieldConfig(modulus=7))
 
 
 def test_generic_block_rank_is_full():
