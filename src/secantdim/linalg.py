@@ -1,11 +1,13 @@
 """Exact dense rank computation over a prime field or the rationals.
 
-The modular backend is the workhorse: scalars live in [0, p) with p < 2^31,
-so a product of two of them is below 2^62. Elimination adds such products to
-the trailing block without reducing it, and reduces the block once every lag
-updates, lag being the largest L with (p - 1) + L (p - 1)^2 < 2^63: between
-reductions no entry leaves int64, so numpy row operations stay exact (lag is
-8 at the default prime, 2 at 2^31 - 1).
+The modular backend is the workhorse: one elimination takes every rank and
+rank profile, and leaves the certificate's inverse as a Schur complement.
+Scalars live in [0, p) with p < 2^31, so a product of two is below 2^62.
+Elimination adds such products to the trailing block without reducing it,
+and reduces the block once every lag updates, lag being the largest L with
+(p - 1) + L (p - 1)^2 < 2^63: between reductions no entry leaves int64, so
+numpy row operations stay exact (lag is 8 at the default prime, 2 at
+2^31 - 1).
 
 The exact-rational backend gives characteristic-zero certainty; it is the
 escalation step when a deficient modular rank needs confirmation. Every row
@@ -241,11 +243,17 @@ def ideal_dimension(mat: Matrix, cfg: FieldConfig) -> int:
 
 
 def _rank_modular(grid: np.ndarray, p: int) -> tuple[list[int], list[int]]:
-    """Pivot columns of an echelon form over GF(p), and the rows of grid
-    swapped into the pivot positions; grid is not modified.
+    """_eliminate over every column of grid: its pivot columns and rows."""
+    return _eliminate(grid, p, grid.shape[1])[:2]
 
-    Pivot rows and pivot columns cut out a block of grid that is
-    nonsingular mod p.
+
+def _eliminate(
+    grid: np.ndarray, p: int, stop: int
+) -> tuple[list[int], list[int], np.ndarray]:
+    """The one GF(p) elimination: the pivot columns of an echelon form among
+    the first stop columns of grid, the rows of grid swapped into the pivot
+    positions, and the working copy; grid is not modified. Pivot rows and
+    pivot columns cut out a block of grid that is nonsingular mod p.
 
     The trailing block holds non-negative entries congruent to those of a
     fully reduced elimination. Each pivot adds below * (-pivot row / head)
@@ -254,17 +262,22 @@ def _rank_modular(grid: np.ndarray, p: int) -> tuple[list[int], list[int]]:
     pivot row are reduced as they are read, the column once for the pivot
     search, the row swap and the update. The column below a pivot is never
     read again, so it is left as it is.
+
+    Only rows below a pivot and columns right of it are updated. So if grid
+    is [[B, A], [C, D]] with B a nonsingular k x k block and stop = k, every
+    pivot comes from the top k rows, a row swap among them permutes B and A
+    alike, and the working copy's lower-right block is congruent to the
+    Schur complement D - C B^-1 A.
     """
     # a reduced, row-major working copy, whatever the layout of grid
     grid = np.remainder(grid, p, order="C")
-    nrows, ncols = grid.shape
+    nrows = len(grid)
     order = list(range(nrows))
     pivots: list[int] = []
     # entries stay below (p - 1) + lag (p - 1)^2 < 2^63
     lag = (2**63 - p) // (p - 1) ** 2
-    pending = 0
     r = 0
-    for c in range(ncols):
+    for c in range(stop):
         column = grid[r:, c] % p
         (nonzero,) = column.nonzero()
         if not nonzero.size:
@@ -281,16 +294,14 @@ def _rank_modular(grid: np.ndarray, p: int) -> tuple[list[int], list[int]]:
             order[r], order[other] = order[other], order[r]
         pivots.append(c)
         if r + 1 == nrows:
-            return pivots, order
+            break
         factor = grid[r, c + 1 :] % p * (p - pow(int(column[0]), -1, p)) % p
         block = grid[r + 1 :, c + 1 :]
-        if pending == lag:
+        if r and r % lag == 0:
             np.remainder(block, p, out=block)
-            pending = 0
         block += column[1:, None] * factor
-        pending += 1
         r += 1
-    return pivots, order[:r]
+    return pivots, order[: len(pivots)], grid
 
 
 def _certified_pivots(grid: np.ndarray) -> list[int]:
@@ -339,7 +350,10 @@ def _certify(ints: np.ndarray, rows: list[int], cols: list[int], p: int) -> bool
     reconstruction is attempted.
     """
     pivots = set(cols)
-    others = [c for c in range(ints.shape[1]) if c not in pivots]
+    # with a pivot in every row the pivot block is invertible, so a column
+    # past the last pivot is a combination of pivot columns to its left
+    last = cols[-1] if len(rows) == len(ints) else ints.shape[1]
+    others = [c for c in range(last) if c not in pivots]
     if not others:
         return True
     if not cols:
@@ -465,35 +479,18 @@ def _product_mod(
 
 
 def _inverse_mod(block: np.ndarray, p: int) -> np.ndarray:
-    """Inverse of a nonsingular matrix with entries in [0, p) over GF(p), by
-    Gauss-Jordan with the delayed reduction of _rank_modular.
-
-    Each pivot adds column * (-pivot row) to the other rows, a product of two
-    residues, and the working matrix is reduced only before an update that
-    could carry an entry past 2^63; the pivot column and the pivot row are
-    reduced as they are read. A column is never read after its pivot, so it
-    is left as it is.
-    """
+    """Inverse over GF(p) of a block B with entries in [0, p): minus the Schur
+    complement 0 - I B^-1 I that _eliminate leaves of [[B, I], [I, 0]]. Row
+    c of the bottom half offers a pivot until column c is eliminated, so B is
+    singular mod p exactly when a pivot comes from there: ValueError."""
     size = len(block)
-    work = np.concatenate([block, np.eye(size, dtype=np.int64)], axis=1)
-    # entries stay below (p - 1) + lag (p - 1)^2 < 2^63
-    lag = (2**63 - p) // (p - 1) ** 2
-    pending = 0
-    for c in range(size):
-        pivot = c + int(np.flatnonzero(work[c:, c] % p)[0])
-        if pivot != c:
-            work[[c, pivot]] = work[[pivot, c]]
-        row = work[c, c + 1 :] % p * pow(int(work[c, c]) % p, -1, p) % p
-        work[c, c + 1 :] = row
-        column = work[:, c] % p
-        column[c] = 0
-        rest = work[:, c + 1 :]
-        if pending == lag:
-            np.remainder(rest, p, out=rest)
-            pending = 0
-        rest += np.outer(column, -row % p)
-        pending += 1
-    return work[:, size:] % p
+    grid = np.zeros((2 * size, 2 * size), dtype=np.int64)
+    grid[:size, :size] = block
+    grid[:size, size:] = grid[size:, :size] = np.eye(size, dtype=np.int64)
+    _, rows, work = _eliminate(grid, p, size)
+    if max(rows) >= size:
+        raise ValueError("block is singular mod p")
+    return -work[size:, size:] % p
 
 
 def _reconstruct(

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from secantdim import linalg
 from secantdim.linalg import (
     DEFAULT_MODULUS,
     EXACT_RATIONAL,
@@ -19,6 +20,7 @@ from secantdim.linalg import (
     _certify,
     _combines,
     _divide,
+    _eliminate,
     _inverse_mod,
     _limb_width,
     _product_mod,
@@ -388,9 +390,38 @@ def test_delayed_reduction_matches_the_reference_kernel(p):
         assert np.array_equal(block, before)
         identity = block.astype(object) @ inverse.astype(object) % p
         assert np.array_equal(identity, np.eye(len(pivots), dtype=int))
+        # with the pivot rows and columns first, eliminating the pivot
+        # columns leaves the Schur complement D - C B^-1 A in the lower right
+        k = len(pivots)
+        rest_rows = [i for i in range(grid.shape[0]) if i not in rows]
+        rest_cols = [j for j in range(grid.shape[1]) if j not in pivots]
+        stacked = grid[np.ix_(rows + rest_rows, pivots + rest_cols)]
+        _, top, work = _eliminate(stacked, p, k)
+        assert max(top) < k
+        a = grid[np.ix_(rows, rest_cols)].astype(object)
+        c = grid[np.ix_(rest_rows, pivots)].astype(object)
+        d = grid[np.ix_(rest_rows, rest_cols)].astype(object)
+        schur = (d - c @ reference_inverse_mod(block, p).astype(object) @ a) % p
+        assert np.array_equal(work[k:, k:] % p, schur)
         ranks.append(len(pivots))
     # every case but the all-(p - 1) one runs through at least 25 pivots
     assert ranks == [40, 40, 30, 25, 1, 30] * 2
+
+
+@pytest.mark.parametrize("p", KERNEL_PRIMES)
+def test_inverse_refuses_a_block_singular_mod_p(p):
+    rng = np.random.default_rng(p % 1000)
+    for size in (2, 5, 30):
+        equal_rows = rng.integers(0, p, size=(size, size))
+        equal_rows[-1] = equal_rows[0]
+        zero_column = rng.integers(0, p, size=(size, size))
+        zero_column[:, 0] = 0
+        u = rng.integers(0, p, size=(size, size - 1)).astype(object)
+        v = rng.integers(0, p, size=(size - 1, size)).astype(object)
+        deficient = (u @ v % p).astype(np.int64)
+        for block in (equal_rows, zero_column, deficient):
+            with pytest.raises(ValueError):
+                _inverse_mod(block, p)
 
 
 def scheme_cases(p):
@@ -570,6 +601,23 @@ def test_certified_profile_keeps_the_order_of_the_rows():
     grid = [[P, 0], [0, 1], [1, 0]]
     assert rank_profile(matrix_from_rows(grid, 2, MOD), MOD) == [1, 2]
     assert rank_profile(matrix_from_rows(grid, 2, RAT), RAT) == [0, 1]
+
+
+def test_full_row_rank_profile_lifts_nothing_past_its_last_pivot(monkeypatch):
+    # the transposed grid has a pivot in every row, so its pivot columns span
+    # all of Q^rows and the non-pivot columns past the last pivot need no
+    # certificate; one left of it still does, since p may misplace a pivot
+    def refuse(block, p):
+        raise AssertionError("the certificate lifted")
+
+    monkeypatch.setattr(linalg, "_inverse_mod", refuse)
+    grid = signed_integers(random.Random(0), (9, 6), 80)
+    transpose = [list(col) for col in zip(*grid.tolist())]
+    profile = rank_profile(matrix_from_rows(grid.tolist(), 6, RAT), RAT)
+    assert profile == reference_pivots(transpose) == list(range(6))
+    grid[1] = 3 * grid[0]
+    with pytest.raises(AssertionError, match="lifted"):
+        rank_profile(matrix_from_rows(grid.tolist(), 6, RAT), RAT)
 
 
 @pytest.mark.parametrize(
