@@ -20,17 +20,22 @@ from .scanner import (
     CHECK_CASTELNUOVO,
     CHECK_PROJECTION,
     EXPLICIT,
+    Q_MAX,
     S_POLICIES,
+    T_MAX,
     THEOREM_RANGE,
     ScanGrid,
     VerifySummary,
     _csv_value,
+    dictionary_rows,
     grid_from_ranges,
     records_to_csv,
     records_to_json,
     scan,
+    scan_rows,
     summary_to_csv,
     summary_to_json,
+    theorem_cells,
     verify_dictionary_grid,
     verify_theorem_suite,
 )
@@ -44,6 +49,11 @@ _ECHO_CHARS = 40
 # every trial, and a shortfall reruns them over Q at twice the count:
 # dim 2 3 2 5 takes about 0.5, 1.4 and 14 s at 10, 100 and 1,000 trials
 MAX_TRIALS = 1000
+# the most cases a verify theorem or castelnuovo run may hold, q_max
+# (t_max + 1) per cell with d >= 3. A case costs more as its q grows: on
+# (1,1,3) at 2 trials, --q-max 20, 60, 200 and 333 (60 to 999 cases) take
+# about 0.5, 1.2, 5 to 6 and 12 s, and --t-max 499 (1,000 cases) 8 s
+MAX_CASES = 1000
 _SUITE_CHECKS = {
     "theorem": ALL_CHECKS,
     "castelnuovo": (CHECK_CASTELNUOVO, CHECK_PROJECTION),
@@ -167,7 +177,8 @@ def build_parser() -> argparse.ArgumentParser:
         description=(
             "theorem and castelnuovo check the induction step for d >= 3 and "
             "skip every cell with d < 3; a grid of such cells reports "
-            "cellsChecked 0"
+            "cellsChecked 0. They run q_max (t_max + 1) cases per cell, at "
+            f"most {MAX_CASES:,} in a run"
         ),
     )
     p_ver.add_argument(
@@ -282,25 +293,34 @@ def main(argv: list[str] | None = None) -> int:
             raise ValueError(
                 f"--trials {brief(args.trials)} exceeds the limit of {MAX_TRIALS:,}"
             )
+        # every grid is sized, as its run sizes it, before any cell computes
         if args.command in ("dim", "scan"):
+            for grid in grids:
+                scan_rows(grid, cfg)
             records = [r for grid in grids for r in scan(grid, cfg)]
             render = records_to_json if args.format == "json" else records_to_csv
             _emit(render(records), args.output)
             return 0
-        # verify; an unset --q-max or --t-max keeps the suite's default
-        ranges = {
-            name: value
-            for name, value in (("q_max", args.q_max), ("t_max", args.t_max))
-            if value is not None
-        }
-        parts = [
-            verify_dictionary_grid(grid, cfg)
-            if args.target == "dictionary"
-            else verify_theorem_suite(
-                grid, cfg, checks=_SUITE_CHECKS[args.target], **ranges
-            )
-            for grid in grids
-        ]
+        if args.target == "dictionary":
+            for grid in grids:
+                dictionary_rows(grid, cfg)
+            parts = [verify_dictionary_grid(grid, cfg) for grid in grids]
+        else:
+            q_max = Q_MAX if args.q_max is None else args.q_max
+            t_max = T_MAX if args.t_max is None else args.t_max
+            cells = sum(len(theorem_cells(grid, q_max, t_max)) for grid in grids)
+            cases = cells * q_max * (t_max + 1)
+            if cases > MAX_CASES:
+                raise ValueError(
+                    f"--q-max {brief(q_max)} and --t-max {brief(t_max)} make "
+                    f"{brief(cases)} cases, q_max (t_max + 1) per cell with "
+                    f"d >= 3, above the limit of {MAX_CASES:,}"
+                )
+            checks = _SUITE_CHECKS[args.target]
+            parts = [
+                verify_theorem_suite(grid, cfg, q_max, t_max, checks)
+                for grid in grids
+            ]
         summary = VerifySummary(
             sum(part.cells_checked for part in parts),
             tuple(f for part in parts for f in part.failures),

@@ -15,7 +15,8 @@ builder evaluates integer polynomials at integer points, so its matrices have
 integer entries. Over Q a rank is the rank of an elimination modulo a large
 prime, returned only once a certificate has proven it: the pivot block bounds
 it from below, and an exact integer product writing every other column
-through the pivot columns bounds it from above.
+through the pivot columns bounds it from above. Its lifting holds every
+matrix in int64 limbs of one width, read back mod p by one Horner step.
 
 Ranks are always taken at explicit points, so over GF(p) a computed rank can
 only undercount the generic characteristic-zero rank. "computed == expected"
@@ -208,14 +209,15 @@ def rank(mat: Matrix, cfg: FieldConfig) -> int:
     """Rank over GF(p) by Gaussian elimination, or over Q as a certified
     modular rank.
 
-    Row and column rank agree, so the orientation is free. Over GF(p) the
-    one with fewer rows is eliminated: it needs fewer pivot steps. Over Q
-    the one with fewer columns is: the certificate must express each of its
-    non-pivot columns, and there are min(rows, cols) - rank of them. A
-    stacked tangent matrix keeps no Euler-redundant row, so that count is
-    the true shortfall, and a full-rank cell has none.
+    Row and column rank agree, so the orientation is free, and the one with
+    fewer columns is eliminated over both fields. Over Q the certificate
+    must express each of its non-pivot columns, and there are
+    min(rows, cols) - rank of them. A stacked tangent matrix keeps no
+    Euler-redundant row, so that count is the true shortfall, and a
+    full-rank cell has none. Over GF(p) the choice costs nothing: the
+    elimination visits each column once and stops when it runs out of rows.
     """
-    transpose = mat.rows > mat.cols if cfg.is_modular else mat.cols > mat.rows
+    transpose = mat.cols > mat.rows
     return len(_pivot_columns(mat, cfg, transpose))
 
 
@@ -328,11 +330,6 @@ def _certified_pivots(grid: np.ndarray) -> list[int]:
             p -= 2
 
 
-# limb width of the inverse's int64 products: a dot of depth below 2^18 of
-# 15-bit by 30-bit factors stays below 2^63
-_LIMB_BITS = 15
-
-
 def _certify(ints: np.ndarray, rows: list[int], cols: list[int], p: int) -> bool:
     """Whether every non-pivot column of ints is a rational combination of
     the pivot columns to its left; then the rank is exactly len(cols).
@@ -344,10 +341,11 @@ def _certify(ints: np.ndarray, rows: list[int], cols: list[int], p: int) -> bool
     reconstruction that passes it, or fails once p^k passes the Hadamard
     bound, beyond which the reconstruction is the exact solution.
 
-    The block and the residual are held as int64 limbs of _limb_width bits,
-    so a lifting step is one stacked matmul and an exact division by p
-    (_divide). The p-adic digits become Python integers only when a
-    reconstruction is attempted.
+    The inverse mod p, the block and the residual are held as int64 limbs
+    of _limb_width bits, so a lifting step is two stacked matmuls, one read
+    back mod p as the digit (_horner), one taken off the residual, and an
+    exact division by p (_divide). The p-adic digits become Python integers
+    only when a reconstruction is attempted.
     """
     pivots = set(cols)
     # with a pivot in every row the pivot block is invertible, so a column
@@ -360,9 +358,9 @@ def _certify(ints: np.ndarray, rows: list[int], cols: list[int], p: int) -> bool
         return not any(ints.flat)
     block = ints[np.ix_(rows, cols)]
     rhs = ints[np.ix_(rows, others)]
-    inverse = _inverse_mod((block % p).astype(np.int64), p)
-    inverse = inverse & ((1 << _LIMB_BITS) - 1), inverse >> _LIMB_BITS
     width = _limb_width(p, len(cols))
+    inverse = _inverse_mod((block % p).astype(np.int64), p)
+    inverse = _split(inverse, -(-p.bit_length() // width), width).reshape(-1, len(cols))
     largest = max(np.abs(block).max(), np.abs(rhs).max())
     count = -(-largest.bit_length() // width)
     limbs = _split(block, count, width).reshape(-1, len(cols))
@@ -378,7 +376,7 @@ def _certify(ints: np.ndarray, rows: list[int], cols: list[int], p: int) -> bool
     digits: list[np.ndarray] = []
     power, base, steps, attempt = 1, 1, 0, 1
     while True:
-        digit = _product_mod(inverse, reduced, p)
+        digit = _horner((inverse @ reduced).reshape(-1, *reduced.shape), p, width)
         digits.append(digit)
         residual -= (limbs @ digit).reshape(residual.shape)
         reduced = _divide(residual, p, width)
@@ -399,20 +397,19 @@ def _certify(ints: np.ndarray, rows: list[int], cols: list[int], p: int) -> bool
 
 
 def _limb_width(p: int, depth: int) -> int:
-    """Bits per limb of the lifting: a dot of depth terms, each a limb of
-    size at most 2^width times a digit in [0, p), stays below
-    2^(depth.bit_length() + width + p.bit_length()) = 2^61."""
+    """Bits per limb of every limb stack of the lifting: a dot of depth
+    terms, each a limb of size at most 2^width times a digit in [0, p),
+    stays below 2^(depth.bit_length() + width + p.bit_length()) = 2^61."""
     return 61 - p.bit_length() - depth.bit_length()
 
 
 def _split(values: np.ndarray, count: int, width: int) -> np.ndarray:
-    """Integers below 2^(width count) in size as a stack of count int64
-    limbs: values = sum of limbs[l] * 2^(width l).
+    """Integers below 2^(width count) in size, int64 or Python integers, as
+    a stack of count int64 limbs: values = sum of limbs[l] * 2^(width l).
 
     Every limb but the last lies in [0, 2^width); the last keeps the sign and
     lies in [-2^width, 2^width).
     """
-    values = values.astype(object)
     mask = (1 << width) - 1
     limbs = np.empty((count, *values.shape), dtype=np.int64)
     for limb in limbs[:-1]:
@@ -424,7 +421,7 @@ def _split(values: np.ndarray, count: int, width: int) -> np.ndarray:
 
 def _divide(residual: np.ndarray, p: int, width: int) -> np.ndarray:
     """Divide the integers that a stack of int64 limbs of width bits
-    represents by p, in place, and return the quotients mod p.
+    represents by p, in place, and return the quotients mod p (_horner).
 
     The division runs from the top limb down, carrying each remainder into
     the limb below, and must leave no remainder after the lowest limb.
@@ -437,27 +434,35 @@ def _divide(residual: np.ndarray, p: int, width: int) -> np.ndarray:
       keeps it below p * 2^(61 - b) + p * 2^(60 - b) + 2^(62 - b) < 2^62;
     - so its quotient is below 2^(61 - b) + 2^(60 - b) + 2^(63 - 2b) + 1
       <= 2^(62 - b), and stored limbs, which start at most 2^width in
-      size, keep that bound through every step;
-    - the quotients mod p are taken limb by limb from the top, by Horner's
-      rule, each step below (p - 1)^2 + 2^(62 - b) < 2^63. Summing the
-      reduced limbs times 2^(width l) mod p instead would pass 2^63 at
-      eight limbs.
+      size, keep that bound through every step.
     """
-    shift = pow(2, width, p)
     top = residual[-1]
     carry = np.empty_like(top)
     np.divmod(top, p, out=(top, carry))
-    reduced = top % p
     for limb in residual[-2::-1]:
         carry <<= width
         limb += carry
         np.divmod(limb, p, out=(limb, carry))
-        reduced *= shift
-        reduced += limb
-        reduced %= p
     if carry.any():
         raise ArithmeticError("a lifting step left a remainder mod p")
-    return reduced
+    return _horner(residual, p, width)
+
+
+def _horner(limbs: np.ndarray, p: int, width: int) -> np.ndarray:
+    """The integers that a stack of int64 limbs of width bits represents,
+    mod p, by Horner's rule from the top limb down.
+
+    With p < 2^31 and every limb below 2^62 in size, each step stays below
+    (p - 1)^2 + 2^62 < 2^63. Summing the reduced limbs times 2^(width l)
+    mod p instead would pass 2^63 at eight limbs.
+    """
+    shift = pow(2, width, p)
+    out = limbs[-1] % p
+    for limb in limbs[-2::-1]:
+        out *= shift
+        out += limb
+        out %= p
+    return out
 
 
 def _join(digits: list[np.ndarray], p: int) -> np.ndarray:
@@ -468,14 +473,6 @@ def _join(digits: list[np.ndarray], p: int) -> np.ndarray:
     for pair in (stack[::2] + stack[1::2] * p)[::-1]:
         out = out * (p * p) + pair
     return out
-
-
-def _product_mod(
-    inverse: tuple[np.ndarray, np.ndarray], digit: np.ndarray, p: int
-) -> np.ndarray:
-    """(inverse @ digit) mod p for a two-limb inverse with entries below p."""
-    low, high = inverse
-    return ((high @ digit % p << _LIMB_BITS) + low @ digit) % p
 
 
 def _inverse_mod(block: np.ndarray, p: int) -> np.ndarray:

@@ -54,6 +54,7 @@ from .terracini import (
     derived_rng,
     derived_seed,
     secant_dimension,
+    sized_s_values,
 )
 
 THEOREM_RANGE = "theorem-range"
@@ -78,6 +79,10 @@ ALL_CHECKS = (
     CHECK_CASTELNUOVO,
     CHECK_PROJECTION,
 )
+
+# the theorem suite's default ranges of q and t
+Q_MAX = 2
+T_MAX = 2
 
 # stream tags keeping the verification draws apart
 _TAG_FORMULA = 11
@@ -232,12 +237,26 @@ def scan_cell(
     )
 
 
-def scan(grid: ScanGrid, cfg: SampleConfig) -> list[SecantRecord]:
-    """Scan every cell of the grid; records come back in lexicographic order."""
-    records = []
+def scan_rows(
+    grid: ScanGrid, cfg: SampleConfig
+) -> list[tuple[SegreVeroneseParams, Sequence[int]]]:
+    """Every (n, m, d) row of the grid with the s values scan computes,
+    each row refused before any row computes if best_ranks would refuse
+    it."""
+    rows = []
     for n, m, d in grid.cells():
         params = SegreVeroneseParams(n, m, d)
         s_values = grid.s_values(params)
+        sized_s_values(params, s_values, cfg.field)
+        rows.append((params, s_values))
+    return rows
+
+
+def scan(grid: ScanGrid, cfg: SampleConfig) -> list[SecantRecord]:
+    """Scan every cell of the grid; records come back in lexicographic order.
+    Every row is sized before the first one computes."""
+    records = []
+    for params, s_values in scan_rows(grid, cfg):
         ranks = best_ranks(params, s_values, _row_config(params, cfg))
         for s in s_values:
             records.append(scan_cell(params, s, cfg, ranks[s]))
@@ -255,20 +274,33 @@ class VerifySummary:
         return not self.failures
 
 
-def verify_dictionary_grid(grid: ScanGrid, cfg: SampleConfig) -> VerifySummary:
-    """Check the multigraded / single-graded correspondence on every cell,
-    s = 0 .. s2+1 of each (n, m, d) row."""
-    failures = []
-    cells = 0
+def dictionary_rows(
+    grid: ScanGrid, cfg: SampleConfig
+) -> list[tuple[SegreVeroneseParams, Sequence[int]]]:
+    """Every (n, m, d) row of the grid with s = 0 .. s2+1, the s values
+    verify_dictionary_grid checks, each row refused before any row computes
+    if best_ranks would refuse its s >= 1."""
+    rows = []
     for n, m, d in grid.cells():
         params = SegreVeroneseParams(n, m, d)
-        s_values = range(0, thresholds(params).s2 + 2)
+        ranked = range(1, thresholds(params).s2 + 2)
+        sized_s_values(params, ranked, cfg.field)
+        rows.append((params, range(0, ranked.stop)))
+    return rows
+
+
+def verify_dictionary_grid(grid: ScanGrid, cfg: SampleConfig) -> VerifySummary:
+    """Check the multigraded / single-graded correspondence on every cell,
+    s = 0 .. s2+1 of each (n, m, d) row. Every row is sized before the
+    first one computes."""
+    failures = []
+    cells = 0
+    for params, s_values in dictionary_rows(grid, cfg):
         # this report's key order puts the detail before the metadata
         failures += [
             _failure(CHECK_DICTIONARY, params, cfg, {"s": s, **detail})
             for s, detail in _dictionary_failures(params, s_values, cfg).items()
         ]
-        # counted once the size check has passed: len() refuses a huge range
         cells += len(s_values)
     return VerifySummary(cells, tuple(failures))
 
@@ -293,11 +325,34 @@ def _dictionary_failures(
     return failures
 
 
+def theorem_cells(grid: ScanGrid, q_max: int, t_max: int) -> list[SegreVeroneseParams]:
+    """The cells verify_theorem_suite checks, those with d >= 3, each refused
+    before any case runs if its largest case, with every double point
+    spanned, is too large to build; that matrix has the columns of the
+    dictionary check's tangent stack and at least its rows. Each cell runs
+    q_max (t_max + 1) cases."""
+    if q_max < 1 or t_max < 0:
+        raise ValueError("need q_max >= 1 and t_max >= 0")
+    cells = []
+    for n, m, d in grid.cells():
+        if d < 3:
+            continue
+        cells.append(SegreVeroneseParams(n, m, d))
+        frame = SchemeSpec(n, m, d, fat_h1=d, include_h2=True)
+        s_max = (n + 1) * q_max
+        check_size(
+            _row_bound(frame, d + 1, doubles=s_max, spans=s_max + t_max),
+            scheme_basis_size(frame, d + 1),
+            f"q = {brief(q_max)}, t = {brief(t_max)} at {brief((n, m, d))}",
+        )
+    return cells
+
+
 def verify_theorem_suite(
     grid: ScanGrid,
     cfg: SampleConfig,
-    q_max: int = 2,
-    t_max: int = 2,
+    q_max: int = Q_MAX,
+    t_max: int = T_MAX,
     checks: Sequence[str] = ALL_CHECKS,
 ) -> VerifySummary:
     """Exercise the flag-scheme dimension formula and its proof steps.
@@ -307,29 +362,18 @@ def verify_theorem_suite(
     lhs, the (seed, n, m, d, s) stream for the rhs); then per t: the
     closed-form scheme dimension, invariance under attaching base-locus
     spans, the residual/trace bound, and the projection onto P^m. Failures
-    carry the offending configuration in JSON form. A cell is refused before
-    its first case if its largest case, with every double point spanned, is
-    too large to build.
+    carry the offending configuration in JSON form. Every cell is sized
+    (theorem_cells) before the first case runs.
     """
     unknown = set(checks) - set(ALL_CHECKS)
     if unknown:
         raise ValueError(f"unknown checks: {sorted(unknown)}")
-    if q_max < 1 or t_max < 0:
-        raise ValueError("need q_max >= 1 and t_max >= 0")
     per_t = [c for c in ALL_CHECKS if c in checks and c != CHECK_DICTIONARY]
     failures: list[dict] = []
     cells = 0
-    for n, m, d in grid.cells():
-        if d < 3:
-            continue
-        params = SegreVeroneseParams(n, m, d)
-        frame = SchemeSpec(n, m, d, fat_h1=d, include_h2=True)
+    for params in theorem_cells(grid, q_max, t_max):
+        n = params.n
         s_max = (n + 1) * q_max
-        check_size(
-            _row_bound(frame, d + 1, doubles=s_max, spans=s_max + t_max),
-            scheme_basis_size(frame, d + 1),
-            f"q = {brief(q_max)}, t = {brief(t_max)} at {brief((n, m, d))}",
-        )
         dictionary = {}
         if CHECK_DICTIONARY in checks:
             s_values = range(n + 1, s_max + 1, n + 1)

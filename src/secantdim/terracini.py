@@ -206,6 +206,30 @@ def stacked_tangent_matrix(
     return matrix_from_rows(np.delete(rows, dropped, axis=0), len(monos), cfg)
 
 
+def sized_s_values(
+    params: SegreVeroneseParams, s_values: Iterable[int], cfg: FieldConfig
+) -> Sequence[int]:
+    """The distinct s values in increasing order, refused (ValueError) before
+    any point is drawn if there is none, one is below 1, the field is too
+    small for the degree, or the tangent blocks of the largest s are too
+    large to build. The size check counts the full blocks, which are built
+    before best_ranks drops a row of each.
+    """
+    # an increasing range is already sorted and distinct; a theorem range
+    # can be far too long to list, and the size check refuses it first
+    increasing = isinstance(s_values, range) and s_values.step > 0
+    wanted = s_values if increasing else sorted(set(s_values))
+    if not wanted or wanted[0] < 1:
+        raise ValueError("need at least one tangent space")
+    require_headroom(cfg, params.d + 1)
+    check_size(
+        wanted[-1] * (params.n + params.m + 2),
+        params.coefficient_count,
+        f"s = {brief(wanted[-1])} at {brief((params.n, params.m, params.d))}",
+    )
+    return wanted
+
+
 def best_ranks(
     params: SegreVeroneseParams,
     s_values: Iterable[int],
@@ -222,22 +246,9 @@ def best_ranks(
     s(n+m+1) rows of the one for max(s), so a single rank profile yields
     every prefix rank. A rank never exceeds its cap min(N+1, s(n+m+1)), so
     each later trial runs only for the s still below it, up to the largest.
-    The size check counts the full blocks, which are built before the drop.
     """
-    # an increasing range is already sorted and distinct; a theorem range
-    # can be far too long to list, and the size check refuses it first
-    increasing = isinstance(s_values, range) and s_values.step > 0
-    wanted = s_values if increasing else sorted(set(s_values))
-    if not wanted or wanted[0] < 1:
-        raise ValueError("need at least one tangent space")
-    require_headroom(cfg.field, params.d + 1)
-    block = params.n + params.m + 2
-    check_size(
-        wanted[-1] * block,
-        params.coefficient_count,
-        f"s = {brief(wanted[-1])} at {brief((params.n, params.m, params.d))}",
-    )
-    kept = block - 1
+    wanted = sized_s_values(params, s_values, cfg.field)
+    kept = params.n + params.m + 1
     best = dict.fromkeys(wanted, 0)
     for trial in range(first_trial, cfg.trials):
         open_s = [

@@ -21,11 +21,12 @@ from secantdim.linalg import (
     _combines,
     _divide,
     _eliminate,
+    _horner,
     _inverse_mod,
     _limb_width,
-    _product_mod,
     _rank_modular,
     _reconstruct,
+    _split,
     brief,
     ideal_dimension,
     is_prime,
@@ -160,10 +161,10 @@ def reference_product(limbs, digit):
 
 
 def reference_certify(ints, rows, cols, p):
-    """The certificate of linalg._certify with the residual held as Python
-    integers and the solution summed at every step: the reference for the
-    int64 limb lifting. The attempt schedule is the same, so the verdicts
-    must agree."""
+    """The certificate of linalg._certify with the inverse, the digits and
+    the residual held as Python integers and the solution summed at every
+    step: the reference for the int64 limb lifting. The attempt schedule is
+    the same, so the verdicts must agree."""
     pivots = set(cols)
     others = [c for c in range(ints.shape[1]) if c not in pivots]
     if not others:
@@ -172,7 +173,7 @@ def reference_certify(ints, rows, cols, p):
         return not any(ints.flat)
     block = ints[np.ix_(rows, cols)]
     rhs = ints[np.ix_(rows, others)]
-    inverse = reference_split(reference_inverse_mod((block % p).astype(np.int64), p), 2)
+    inverse = reference_inverse_mod((block % p).astype(np.int64), p).astype(object)
     limbs = reference_split(block, max(x.bit_length() for x in block.flat) // 15 + 2)
     height = prod(int((block[:, i] ** 2).sum()) for i in range(len(cols)))
     bound = 2 * height * max(int((rhs[:, j] ** 2).sum()) for j in range(len(others)))
@@ -180,7 +181,7 @@ def reference_certify(ints, rows, cols, p):
     solution = np.zeros(rhs.shape, dtype=object)
     power, steps, attempt = 1, 0, 1
     while True:
-        digit = _product_mod(inverse, (residual % p).astype(np.int64), p)
+        digit = (inverse @ (residual % p) % p).astype(np.int64)
         solution = solution + digit.astype(object) * power
         residual = (residual - reference_product(limbs, digit)) // p
         power *= p
@@ -518,6 +519,22 @@ def test_limb_width_keeps_the_lifting_in_int64():
             # the largest product a step takes, in int64 and exactly
             top = np.full((2, depth), -(2**width)) @ np.full((depth, 1), p - 1)
             assert top.tolist() == [[-depth * 2**width * (p - 1)]] * 2
+
+
+@pytest.mark.parametrize("p", (*CERTIFY_PRIMES, 2**31 - 1))
+@pytest.mark.parametrize("depth", DEPTHS + (5000,))
+def test_inverse_limb_product_of_extreme_residues(p, depth):
+    # the digit step's product at its largest: inverse entries and digits of
+    # p - 1 make every product limb a dot at the top of its range
+    width = _limb_width(p, depth)
+    rng = np.random.default_rng(depth)
+    inverse = np.full((3, depth), p - 1, dtype=np.int64)
+    inverse[1] = rng.integers(0, p, depth)
+    digit = np.full((depth, 2), p - 1, dtype=np.int64)
+    digit[:, 1] = rng.integers(0, p, depth)
+    limbs = _split(inverse, -(-p.bit_length() // width), width)
+    product = inverse.astype(object) @ digit.astype(object)
+    assert np.array_equal(_horner(limbs @ digit, p, width), product % p)
 
 
 def limb_value(limbs, width):

@@ -203,6 +203,13 @@ def test_exact_certificates_prove_only_the_true_shortfall(monkeypatch, capsys):
     rec = scan_cell(SegreVeroneseParams(4, 3, 2), 6, SampleConfig(seed=0))
     assert (rec.defect, rec.trials) == (1, 4)
     assert counts == [1] * 4
+    counts.clear()
+    # the defect of 1 at (2, 5, 2), s = 8: one open s is ranked by rank, not
+    # rank_profile, so each 64 x 63 matrix is certified as it is, with one
+    # non-pivot column; its 63 x 64 transpose would leave two
+    rec = scan_cell(SegreVeroneseParams(2, 5, 2), 8, SampleConfig(seed=0))
+    assert (rec.defect, rec.trials) == (1, 4)
+    assert counts == [1] * 4
 
 
 def test_scan_cell_rejects_a_rank_above_the_parameter_count():
