@@ -36,6 +36,7 @@ from .scanner import (
     summary_to_csv,
     summary_to_json,
     theorem_cells,
+    theorem_entries,
     verify_dictionary_grid,
     verify_theorem_suite,
 )
@@ -49,11 +50,15 @@ _ECHO_CHARS = 40
 # every trial, and a shortfall reruns them over Q at twice the count:
 # dim 2 3 2 5 takes about 0.5, 1.4 and 14 s at 10, 100 and 1,000 trials
 MAX_TRIALS = 1000
-# the most cases a verify theorem or castelnuovo run may hold, q_max
-# (t_max + 1) per cell with d >= 3. A case costs more as its q grows: on
-# (1,1,3) at 2 trials, --q-max 20, 60, 200 and 333 (60 to 999 cases) take
-# about 0.5, 1.2, 5 to 6 and 12 s, and --t-max 499 (1,000 cases) 8 s
-MAX_CASES = 1000
+# the most condition-matrix entries a verify theorem or castelnuovo run may
+# build, summed over every case's spanned configuration
+# (scanner.theorem_entries). The time follows the entries more closely than
+# the rows or the cases: in process at 2 trials, (1,1,3) --t-max 0 --q-max
+# 300, 400 and 447 (3.6, 6.4 and 8.0 million entries) take 3.8, 8.0 and
+# 10.8 s, (1,1,3) --q-max 1 --t-max 995 (8.0 million) 14.2 s, (2,5,3)
+# --q-max 2 --t-max 100 (6.8 million) 5.9 s and (4,4,4) --q-max 2 --t-max 20
+# (2.3 million) 1.6 s, between 0.7 and 1.8 us an entry but 8 to 420 us a row
+MAX_RUN_ENTRIES = 4_000_000
 _SUITE_CHECKS = {
     "theorem": ALL_CHECKS,
     "castelnuovo": (CHECK_CASTELNUOVO, CHECK_PROJECTION),
@@ -177,8 +182,9 @@ def build_parser() -> argparse.ArgumentParser:
         description=(
             "theorem and castelnuovo check the induction step for d >= 3 and "
             "skip every cell with d < 3; a grid of such cells reports "
-            "cellsChecked 0. They run q_max (t_max + 1) cases per cell, at "
-            f"most {MAX_CASES:,} in a run"
+            "cellsChecked 0. They run q_max (t_max + 1) cases per cell, and the "
+            "condition matrices of a run's spanned configurations may hold "
+            f"at most {MAX_RUN_ENTRIES:,} entries in all"
         ),
     )
     p_ver.add_argument(
@@ -308,13 +314,17 @@ def main(argv: list[str] | None = None) -> int:
         else:
             q_max = Q_MAX if args.q_max is None else args.q_max
             t_max = T_MAX if args.t_max is None else args.t_max
-            cells = sum(len(theorem_cells(grid, q_max, t_max)) for grid in grids)
-            cases = cells * q_max * (t_max + 1)
-            if cases > MAX_CASES:
+            entries = sum(
+                theorem_entries(params, q_max, t_max)
+                for grid in grids
+                for params in theorem_cells(grid, q_max, t_max)
+            )
+            if entries > MAX_RUN_ENTRIES:
                 raise ValueError(
                     f"--q-max {brief(q_max)} and --t-max {brief(t_max)} make "
-                    f"{brief(cases)} cases, q_max (t_max + 1) per cell with "
-                    f"d >= 3, above the limit of {MAX_CASES:,}"
+                    f"{brief(entries)} condition-matrix entries over the "
+                    f"run's spanned cases, above the limit of "
+                    f"{MAX_RUN_ENTRIES:,}"
                 )
             checks = _SUITE_CHECKS[args.target]
             parts = [

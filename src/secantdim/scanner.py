@@ -348,6 +348,19 @@ def theorem_cells(grid: ScanGrid, q_max: int, t_max: int) -> list[SegreVeroneseP
     return cells
 
 
+def theorem_entries(params: SegreVeroneseParams, q_max: int, t_max: int) -> int:
+    """The entries of the condition matrices of a cell's cases, summed in
+    closed form over q <= q_max and t <= t_max. Case (q, t) builds the
+    spanned configuration of (n+1)q double points and t spans, whose rows
+    _row_bound counts linearly in both, over the basis's columns."""
+    n, m, d = params.n, params.m, params.d
+    frame = SchemeSpec(n, m, d, fat_h1=d, include_h2=True)
+    doubles = (n + 1) * (t_max + 1) * q_max * (q_max + 1) // 2
+    spans = doubles + q_max * t_max * (t_max + 1) // 2
+    rows = _row_bound(frame, d + 1, doubles=doubles, spans=spans)
+    return rows * scheme_basis_size(frame, d + 1)
+
+
 def verify_theorem_suite(
     grid: ScanGrid,
     cfg: SampleConfig,

@@ -19,8 +19,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass, replace
 from functools import lru_cache
-from itertools import product
-from math import comb, prod
+from math import comb
 from typing import Sequence
 
 import numpy as np
@@ -39,9 +38,7 @@ from .monomials import (
     ExponentVector,
     derivative_rows,
     evaluation_row,
-    frozen_array,
     graded_basis,
-    power_table,
 )
 from .terracini import (
     SampleConfig,
@@ -222,71 +219,26 @@ def _monomial_count(nvars: int, degree: int) -> int:
     return comb(nvars - 1 + degree, degree) if nvars else int(degree == 0)
 
 
-@dataclass(frozen=True)
-class _ChartTerms:
-    """The chart expansion of a basis on span(H1, anchor), anchor aside.
-
-    Term t is one pair (basis monomial a^alpha b^beta, gamma <= alpha): it
-    puts multinomial[t] * qa^(alpha - gamma) * qb^beta into column[t] of
-    row[t], the row of the chart monomial mu^gamma. Rows run in reverse
-    lexicographic order of gamma. lowered (per a-variable) and beta (per
-    b-variable) hold the exponents as gather indices into the anchor's
-    flattened power table.
-    """
-
-    width: int
-    rows: int
-    column: np.ndarray
-    row: np.ndarray
-    multinomial: np.ndarray
-    lowered: np.ndarray
-    beta: np.ndarray
-
-
-@lru_cache(maxsize=CACHE_SIZE)
-def _chart_terms(basis: tuple[ExponentVector, ...], n: int) -> _ChartTerms:
-    width = max(max(mono) for mono in basis) + 1
-    column, gammas, multinomial, lowered = [], [], [], []
-    for col, mono in enumerate(basis):
-        alpha = mono[:n]
-        for gamma in product(*(range(a + 1) for a in alpha)):
-            column.append(col)
-            gammas.append(gamma)
-            multinomial.append(prod(comb(a, g) for a, g in zip(alpha, gamma)))
-            lowered.append([a - g for a, g in zip(alpha, gamma)])
-    ranked = sorted(set(gammas), reverse=True)
-    order = {gamma: i for i, gamma in enumerate(ranked)}
-    offsets = width * np.arange(len(basis[0]))
-    arrays = (
-        np.array(column),
-        np.array([order[gamma] for gamma in gammas]),
-        np.array(multinomial, dtype=np.int64),
-        (offsets[:n] + np.array(lowered, dtype=np.int64).reshape(-1, n)).T,
-        (offsets[n:] + np.array([mono[n:] for mono in basis])).T,
-    )
-    return _ChartTerms(width, len(order), *map(frozen_array, arrays))
-
-
 def span_rows(
     basis: Sequence[ExponentVector],
     n: int,
     anchors: Sequence[int] | Sequence[Sequence[int]],
     cfg: FieldConfig,
 ) -> np.ndarray:
-    """Conditions for vanishing on span(H1, q) for each anchor q, by exact
-    restriction.
+    """Conditions for vanishing on span(H1, q) for each anchor q, as values
+    on a lattice of the span.
 
-    anchors is one anchor or a 2-D stack of them, one per row. A point of the
-    span is (mu + lam * qa, lam * qb) with chart coordinates
-    (mu_0..mu_{n-1}, lam). Expanding a^alpha b^beta there gives, for each
-    gamma <= alpha, the chart monomial mu^gamma with coefficient
-    prod_i C(alpha_i, gamma_i) qa_i^(alpha_i - gamma_i) times qb^beta. The
-    term layout of a basis is computed once; the qa and qb powers of every
-    anchor come from one power table and are scattered into one array. The
-    rows run anchor by anchor, each anchor's in reverse lexicographic order
-    of gamma, one per chart monomial with a nonzero qa-coefficient; a form
-    contains the span iff all rows annihilate its coefficient vector. No
-    sampling on the span is involved.
+    anchors is one anchor or a 2-D stack of them, one per row. Off H1,
+    each point of the span is a multiple of (qa + mu, qb) for some mu in
+    the n chart coordinates, and a form F restricts there to
+    F(qa + mu, qb), a polynomial of degree at most D in mu, D the largest
+    a-degree of the basis. Its values at the C(D + n, n) lattice points
+    mu >= 0, |mu| <= D fix it, since their Vandermonde matrix is invertible
+    when the characteristic is 0 or exceeds D (a smaller modulus is
+    refused). So a form contains the span iff it vanishes at those points,
+    and the rows are their evaluation rows: C(D + n, n) per anchor, anchor
+    by anchor, the lattice in the order of graded_basis(n + 1, D) less its
+    last exponent. No sampling on the span is involved.
     """
     if n < 1:
         raise ValueError("span needs a nonempty a-block")
@@ -297,31 +249,22 @@ def span_rows(
         raise ValueError("span anchor lies on H1")
     if not basis:
         return np.zeros((0, 0), dtype=cfg.dtype)
-    if anchors.shape[1] != len(basis[0]):
-        raise ValueError("anchor length does not match the variable count")
-    terms = _chart_terms(tuple(basis), n)
-    table = power_table(anchors, terms.width - 1, cfg).reshape(len(anchors), -1)
-    coeffs = cfg.reduce(
-        cfg.array(terms.multinomial)
-        * cfg.product(np.moveaxis(table[:, terms.lowered], 1, 0))
-    )
-    bvals = cfg.product(np.moveaxis(table[:, terms.beta], 1, 0))
-    rows = np.zeros((len(anchors), terms.rows, len(basis)), dtype=cfg.dtype)
-    rows[:, terms.row, terms.column] = cfg.reduce(coeffs * bvals[:, terms.column])
-    present = np.zeros((len(anchors), terms.rows), dtype=bool)
-    which, term = np.nonzero(coeffs != 0)
-    present[which, terms.row[term]] = True
-    return rows[present]
+    top = max(sum(mono[:n]) for mono in basis)
+    require_headroom(cfg, top)
+    lattice = [mu[:n] for mu in graded_basis(n + 1, top).monomials]
+    points = np.repeat(cfg.array(anchors)[:, None], len(lattice), axis=1)
+    points[:, :, :n] += np.array(lattice, dtype=points.dtype)
+    return evaluation_row(basis, points.reshape(-1, anchors.shape[1]), cfg)
 
 
 def _row_bound(
     spec: SchemeSpec, degree: int, doubles: int | None = None, spans: int | None = None
 ) -> int:
-    """Most condition rows the configuration, or doubles double points and
-    spans spans on its frame, can impose in degree.
-
-    A span's rows are chart monomials mu^gamma with |gamma| at most the
-    a-degree of a basis monomial, which the flag caps at degree - fat_h1.
+    """The number of condition rows the configuration, or doubles double
+    points and spans spans on its frame, imposes in degree: n+m+1 per double
+    point, one per simple point and C(D + n, n) per span, D = degree -
+    fat_h1 being the largest a-degree of the flag basis (span_rows). It is
+    the row count of the condition matrix whenever the basis is nonempty.
     """
     doubles = len(spec.double_points) if doubles is None else doubles
     spans = len(spec.w_anchors) + len(spec.v_spans) if spans is None else spans
@@ -348,24 +291,23 @@ def v_span_dimensions(
     matrix of the configuration without its v-spans, and one row rank
     profile gives the rank of both.
     """
-    mat, bare = _condition_matrix(spec, degree, cfg, split_v_spans=True)
+    mat, bare = _condition_matrix(spec, degree, cfg)
     profile = rank_profile(mat, cfg)
     return mat.cols - bisect_left(profile, bare), mat.cols - len(profile)
 
 
 def _condition_matrix(
-    spec: SchemeSpec, degree: int, cfg: FieldConfig, split_v_spans: bool = False
+    spec: SchemeSpec, degree: int, cfg: FieldConfig
 ) -> tuple[Matrix, int]:
     """The configuration's condition matrix in degree, whose kernel is the
-    degree piece of its ideal, and the number of its rows above the rows of
-    the last span_rows call. A matrix above the size limit is refused before
-    any row is built.
+    degree piece of its ideal, and the number of its rows above the v-span
+    rows. A matrix above the size limit is refused before any row is built.
 
     The matrix takes one row-kernel call per kind of row, stacked in this
-    order: every double point at once, every simple point, then the spans,
-    the free anchors first and the spans at listed points (the v-spans)
-    last. With split_v_spans the v-spans take a span_rows call of their own,
-    so the count is that of the rows above the v-span rows.
+    order: every double point at once, every simple point, then every span
+    in one span_rows call, the free anchors first and the spans at listed
+    points (the v-spans) last. Each span imposes the same number of rows,
+    so both counts are _row_bound's.
     """
     require_headroom(cfg, degree)
     size = scheme_basis_size(spec, degree)
@@ -377,11 +319,9 @@ def _condition_matrix(
         f"the degree-{degree} piece of a scheme at {(spec.n, spec.m, spec.d)}",
     )
     basis = scheme_basis(spec, degree)
-    v_anchors = tuple(_combined_point(spec, idx) for idx in spec.v_spans)
-    if split_v_spans:
-        span_calls = [spec.w_anchors, v_anchors]
-    else:
-        span_calls = [spec.w_anchors + v_anchors]
+    anchors = spec.w_anchors + tuple(
+        _combined_point(spec, idx) for idx in spec.v_spans
+    )
     # a double point imposes every first partial; by Euler its value row is
     # a combination of them, since the modulus exceeds the degree
     blocks = [np.zeros((0, size), dtype=cfg.dtype)]
@@ -390,10 +330,9 @@ def _condition_matrix(
         blocks.append(derivative_rows(basis, coords, cfg))
     if spec.simple_points:
         blocks.append(evaluation_row(basis, spec.simple_points, cfg))
-    for anchors in span_calls:
-        above = sum(map(len, blocks))
-        if anchors:
-            blocks.append(span_rows(basis, spec.n, anchors, cfg))
+    if anchors:
+        blocks.append(span_rows(basis, spec.n, anchors, cfg))
+    above = _row_bound(spec, degree, spans=len(spec.w_anchors))
     return matrix_from_rows(np.concatenate(blocks), size, cfg), above
 
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
+from functools import lru_cache
 from math import comb
 from typing import Iterable, Sequence
 
@@ -32,7 +33,12 @@ from .linalg import (
     rank_profile,
     require_headroom,
 )
-from .monomials import bihomogeneous_basis, derivative_rows
+from .monomials import (
+    CACHE_SIZE,
+    ExponentVector,
+    bihomogeneous_basis,
+    derivative_rows,
+)
 
 # every report prints N = (n+1)C(m+d, d) - 1 or thresholds of that size, and
 # Python prints an int of at most 4300 digits by default
@@ -158,6 +164,13 @@ def random_point_pair(
     )
 
 
+@lru_cache(maxsize=CACHE_SIZE)
+def _tangent_basis(n: int, m: int, d: int) -> tuple[ExponentVector, ...]:
+    """The bidegree-(1, d) basis flattened to exponent vectors over x then
+    y, built once per (n, m, d)."""
+    return bihomogeneous_basis(n, m, 1, d).combined()
+
+
 def tangent_block(
     params: SegreVeroneseParams, pt: PointPair, cfg: FieldConfig
 ) -> Matrix:
@@ -167,7 +180,7 @@ def tangent_block(
     follow the lexicographic basis. Euler forces rank <= n+m+1.
     """
     require_headroom(cfg, params.d + 1)
-    monos = bihomogeneous_basis(params.n, params.m, 1, params.d).combined()
+    monos = _tangent_basis(params.n, params.m, params.d)
     rows = derivative_rows(monos, pt.p + pt.q, cfg)
     return matrix_from_rows(rows, len(monos), cfg)
 
@@ -196,7 +209,7 @@ def stacked_tangent_matrix(
     s(n+m+1) rows have the rank of the first s(n+m+2) rows of the full stack.
     """
     require_headroom(cfg, params.d + 1)
-    monos = bihomogeneous_basis(params.n, params.m, 1, params.d).combined()
+    monos = _tangent_basis(params.n, params.m, params.d)
     rows = derivative_rows(monos, [pt.p + pt.q for pt in points], cfg)
     nonzero = cfg.array([pt.q for pt in points]) != 0
     if not nonzero.any(axis=1).all():

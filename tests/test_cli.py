@@ -9,8 +9,8 @@ from pathlib import Path
 
 import pytest
 
-from secantdim import schemes
-from secantdim.cli import main
+from secantdim import cli, scanner, schemes
+from secantdim.cli import MAX_RUN_ENTRIES, main
 
 CMD = [sys.executable, "-m", "secantdim"]
 
@@ -286,6 +286,44 @@ def test_oversized_q_or_t_range_exits_two_before_the_first_case(args):
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert "entry limit" in proc.stderr
+
+
+def test_a_run_is_sized_whole_before_its_first_cell_is_ranked(
+    monkeypatch, capsys
+):
+    # (10,10,10) is too large to build, so (5,5,5), which comes first and
+    # could be built, is never ranked
+    def ranked(*args):
+        raise AssertionError("a cell was ranked before the run was sized")
+
+    monkeypatch.setattr(scanner, "best_ranks", ranked)
+    assert main(["scan", "--grid", "(5,5,5);(10,10,10)"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "entry limit" in err
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("theorem", "--q-max", "100000"),
+        ("theorem", "--q-max", "1000", "--t-max", "0"),
+        ("castelnuovo", "--q-max", "1", "--t-max", "1000"),
+    ],
+)
+def test_run_above_the_entry_cap_exits_two_before_its_first_case(
+    monkeypatch, capsys, args
+):
+    # every case here can be built, but the run's summed condition-matrix
+    # entries are above the cap, which is counted in closed form
+    def suite(*args):
+        raise AssertionError("a case ran before the run was sized")
+
+    monkeypatch.setattr(cli, "verify_theorem_suite", suite)
+    assert main(["verify", args[0], "--grid", "(1,1,3)", *args[1:]]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert f"above the limit of {MAX_RUN_ENTRIES:,}" in err
 
 
 def test_oversized_scheme_is_refused_before_its_basis_is_built(

@@ -568,11 +568,27 @@ def test_verify_theorem_suite_computes_each_scheme_dimension_once(monkeypatch):
         assert len(set(calls)) == len(calls)
 
 
+@pytest.mark.parametrize("n, m, d", [(1, 1, 3), (2, 3, 4), (3, 1, 5)])
+@pytest.mark.parametrize("q_max, t_max", [(1, 0), (2, 2), (5, 3), (3, 7)])
+def test_theorem_entries_sum_every_spanned_case(n, m, d, q_max, t_max):
+    params = SegreVeroneseParams(n, m, d)
+    total = 0
+    for q in range(1, q_max + 1):
+        for t in range(t_max + 1):
+            spec = schemes.sample_scheme(
+                params, (n + 1) * q, t, terracini.derived_rng(q, t), 101
+            )
+            spanned = schemes.add_v_spans(spec)
+            rows = schemes._row_bound(spanned, d + 1)
+            total += rows * schemes.scheme_basis_size(spanned, d + 1)
+    assert scanner.theorem_entries(params, q_max, t_max) == total
+
+
 def test_warm_verify_report_misses_no_basis_cache():
     # a second report on the same grid asks for the same bases, flag bases
-    # and chart layouts (the points differ, the bases do not), and every one
-    # is still cached: 66 of them, 48 and 36 on the benchmark's grid
-    caches = (monomials._exponents, schemes._flag_basis, schemes._chart_terms)
+    # and tangent bases (the points differ, the bases do not), and every one
+    # is still cached: 66 of them, 48 and 18 on the benchmark's grid
+    caches = (monomials._exponents, schemes._flag_basis, terracini._tangent_basis)
     grid = grid_from_ranges(n_max=2, m_max=2, d_min=3, d_max=4)
 
     def report(seed):

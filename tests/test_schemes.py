@@ -127,23 +127,17 @@ def test_double_point_on_h1_kills_all_rows():
 
 
 def test_w_space_rows_closed_form():
-    # on the flag basis a span through H1 imposes n+1 conditions: n rows
-    # indexed by the mu variables, then one evaluation row at the anchor
+    # on the flag basis a span through H1 imposes n+1 conditions: the
+    # values at anchor + e_i for each mu variable i, then the value at the
+    # anchor
     n, m, d = 2, 2, 3
     basis = restricted_basis(n, m, d)
     anchor = _generic_point(n + m + 1, 7)
     rows = span_rows(basis, n, anchor, MOD)
     assert len(rows) == n + 1
-    ycount = len(graded_basis(m + 1, d).monomials)
-    # row i < n: the anchor's b-powers against the a_i block, zero elsewhere
     for i in range(n):
-        row = rows[i]
-        for col, mono in enumerate(basis):
-            inside = i * ycount <= col < (i + 1) * ycount
-            assert (row[col] != 0) == inside or row[col] == 0
-            if not inside:
-                assert row[col] == 0
-    # final row: plain evaluation at the anchor
+        shifted = tuple(c + (v == i) for v, c in enumerate(anchor))
+        assert rows[i].tolist() == evaluation_row(basis, shifted, MOD).tolist()
     assert rows[n].tolist() == evaluation_row(basis, anchor, MOD).tolist()
     assert rank(matrix_from_rows(rows, len(basis), MOD), MOD) == n + 1
 
@@ -435,7 +429,9 @@ def test_projection_empty_cone_counts():
 
 
 def _reference_span_rows(basis, n, anchor, cfg):
-    """span_rows as a plain loop: expand each monomial term by term."""
+    """The coefficients of F(qa + mu, qb) in the chart variables mu, one
+    row per chart monomial, as a plain loop expanding each monomial term by
+    term: the row space span_rows must have."""
     qa, qb = anchor[:n], anchor[n:]
     rows = {}
     for col, mono in enumerate(basis):
@@ -490,12 +486,29 @@ def span_cases(draw):
 SPAN_FIELDS = (MOD, FieldConfig(modulus=7), MOD.to_rational())
 
 
+def assert_same_row_space(rows, reference, cols, cfg):
+    """rows and reference have one rank, and stacked they have it still."""
+    ranks = [
+        rank(matrix_from_rows(block, cols, cfg), cfg)
+        for block in (rows, reference, list(rows) + list(reference))
+    ]
+    assert ranks[0] == ranks[1] == ranks[2]
+
+
+def lattice_size(basis, n):
+    """C(D + n, n), D the largest a-degree of the basis."""
+    top = max(sum(mono[:n]) for mono in basis)
+    return comb(top + n, n)
+
+
 @settings(max_examples=200, deadline=None)
 @given(span_cases(), st.sampled_from(SPAN_FIELDS))
 def test_span_rows_match_the_loop_expansion(case, cfg):
     basis, n, anchor = case
     rows = span_rows(basis, n, anchor, cfg)
-    assert rows.tolist() == _reference_span_rows(basis, n, anchor, cfg)
+    assert len(rows) == lattice_size(basis, n)
+    reference = _reference_span_rows(basis, n, anchor, cfg)
+    assert_same_row_space(rows.tolist(), reference, len(basis), cfg)
     assert_canonical_scalars(rows, cfg)
 
 
@@ -523,12 +536,24 @@ def span_stacks(draw):
 def test_span_rows_on_a_stack_are_each_anchors_rows_in_turn(case, cfg):
     basis, n, anchors = case
     rows = span_rows(basis, n, anchors, cfg)
-    assert rows.tolist() == [
-        row
-        for anchor in anchors
-        for row in _reference_span_rows(basis, n, anchor, cfg)
-    ]
+    per_anchor = lattice_size(basis, n)
+    assert len(rows) == per_anchor * len(anchors)
+    for k, anchor in enumerate(anchors):
+        block = rows[k * per_anchor : (k + 1) * per_anchor].tolist()
+        assert block == span_rows(basis, n, anchor, cfg).tolist()
+        reference = _reference_span_rows(basis, n, anchor, cfg)
+        assert_same_row_space(block, reference, len(basis), cfg)
     assert_canonical_scalars(rows, cfg)
+
+
+@pytest.mark.parametrize("modulus", [3, 5])
+def test_span_rows_refuse_a_modulus_up_to_the_a_degree(modulus):
+    # the lattice's Vandermonde matrix needs the characteristic above D,
+    # here D = 5 on the fat-free basis of degree 5
+    basis = scheme_basis(SchemeSpec(n=2, m=1, d=5), 5)
+    with pytest.raises(ValueError, match="must exceed"):
+        span_rows(basis, 2, (1, 2, 3, 4), FieldConfig(modulus=modulus))
+    assert len(span_rows(basis, 2, (1, 2, 3, 4), FieldConfig(modulus=7))) == 21
 
 
 def test_precomputed_dictionary_lhs_is_used_as_given():
@@ -618,13 +643,20 @@ def test_scheme_rows_never_exceed_the_row_bound(configurations):
 @given(proof_configurations())
 def test_scheme_matrix_takes_one_kernel_call_per_kind_of_row(configurations):
     # double points, simple points and spans each reach their row kernel
-    # all at once, never point by point
+    # all at once, never point by point; the spans reach evaluation_row
+    # through their one span_rows call. calls is keyed by the chain of
+    # kernels a call was made in.
     calls = Counter()
+    inside = []
 
     def counted(name, kernel):
         def call(*args):
-            calls[name] += 1
-            return kernel(*args)
+            calls[(*inside, name)] += 1
+            inside.append(name)
+            try:
+                return kernel(*args)
+            finally:
+                inside.pop()
 
         return call
 
@@ -636,6 +668,10 @@ def test_scheme_matrix_takes_one_kernel_call_per_kind_of_row(configurations):
             calls.clear()
             scheme_ideal_dimension(spec, degree, MOD)
             assert max(calls.values(), default=0) <= 1
+            assert all(
+                len(chain) == 1 or chain == ("span_rows", "evaluation_row")
+                for chain in calls
+            )
 
 
 def v_span_cases(modulus):
@@ -701,6 +737,18 @@ def test_v_span_dimensions_equal_two_eliminations(cfg):
             assert pair[0] > pair[1]
             raised += 1
     assert raised == 2
+
+
+@pytest.mark.parametrize("modulus", [7, 11, MOD.modulus])
+def test_condition_matrix_has_exactly_the_row_bound(modulus):
+    # every span imposes C(D + n, n) rows, so the bound is the row count,
+    # and the count above the v-spans is the bound without them
+    field = FieldConfig(modulus=modulus)
+    for spec, degree, _ in v_span_cases(modulus):
+        mat, above = schemes._condition_matrix(spec, degree, field)
+        assert mat.rows == _row_bound(spec, degree)
+        bare = dataclasses.replace(spec, v_spans=())
+        assert above == _row_bound(bare, degree)
 
 
 BEST_CASES = [
