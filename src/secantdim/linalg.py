@@ -205,7 +205,7 @@ def matrix_from_rows(
     return Matrix(len(rows), cols, entries)
 
 
-def rank(mat: Matrix, cfg: FieldConfig) -> int:
+def rank(mat: Matrix, cfg: FieldConfig, ceiling: int | None = None) -> int:
     """Rank over GF(p) by Gaussian elimination, or over Q as a certified
     modular rank.
 
@@ -216,9 +216,13 @@ def rank(mat: Matrix, cfg: FieldConfig) -> int:
     Euler-redundant row, so that count is the true shortfall, and a
     full-rank cell has none. Over GF(p) the choice costs nothing: the
     elimination visits each column once and stops when it runs out of rows.
+
+    ceiling, when given, is a proven upper bound on the rank over Q, such as
+    terracini.singular_products gives; pivots that reach it are the rank
+    over Q with no certificate, as their block bounds it from below.
     """
     transpose = mat.cols > mat.rows
-    return len(_pivot_columns(mat, cfg, transpose))
+    return len(_pivot_columns(mat, cfg, transpose, ceiling))
 
 
 def rank_profile(mat: Matrix, cfg: FieldConfig) -> list[int]:
@@ -230,13 +234,15 @@ def rank_profile(mat: Matrix, cfg: FieldConfig) -> list[int]:
     return _pivot_columns(mat, cfg, transpose=True)
 
 
-def _pivot_columns(mat: Matrix, cfg: FieldConfig, transpose: bool) -> list[int]:
+def _pivot_columns(
+    mat: Matrix, cfg: FieldConfig, transpose: bool, ceiling: int | None = None
+) -> list[int]:
     if mat.rows == 0 or mat.cols == 0:
         return []
     grid = mat.entries.T if transpose else mat.entries
     if cfg.is_modular:
         return _rank_modular(grid, cfg.modulus)[0]
-    return _certified_pivots(grid)
+    return _certified_pivots(grid, ceiling)
 
 
 def ideal_dimension(mat: Matrix, cfg: FieldConfig) -> int:
@@ -306,13 +312,32 @@ def _eliminate(
     return pivots, order[: len(pivots)], grid
 
 
-def _certified_pivots(grid: np.ndarray) -> list[int]:
+def kernel_mod(values: np.ndarray, p: int) -> np.ndarray | None:
+    """A basis mod p, one vector a row, of the kernel {v : values @ v = 0}
+    of a matrix with fewer rows than columns and entries in [0, p); None
+    when its rank is below its row count.
+
+    _eliminate runs over the first rows-many columns of [values^T | I]. A
+    row it leaves without a pivot is a combination of rows of I whose left
+    block cancels, so its right block is a kernel vector, and those blocks
+    are independent since the combinations are.
+    """
+    count, size = values.shape
+    grid = np.concatenate((values.T, np.eye(size, dtype=np.int64)), axis=1)
+    pivots, _, work = _eliminate(grid, p, count)
+    if len(pivots) < count:
+        return None
+    return work[count:, count:] % p
+
+
+def _certified_pivots(grid: np.ndarray, ceiling: int | None = None) -> list[int]:
     """Pivot columns of an integer matrix over Q, each set proven before it
     is returned.
 
     The pivots come from an elimination modulo a large prime p: the block of
     pivot rows and columns is nonsingular mod p, hence over Q, which bounds
-    the rank from below. _certify bounds it from above. Where that fails, p
+    the rank from below. A ceiling on the rank that the pivots reach bounds
+    it from above; otherwise _certify does. Where that fails, p
     divides some minor and the elimination is repeated at the next prime
     below; only finitely many primes divide a nonzero minor. The prime never
     depends on a sampling range, which may be small.
@@ -323,7 +348,7 @@ def _certified_pivots(grid: np.ndarray) -> list[int]:
     p = DEFAULT_MODULUS
     while True:
         cols, rows = _rank_modular((ints % p).astype(np.int64), p)
-        if _certify(ints, rows, cols, p):
+        if len(cols) == ceiling or _certify(ints, rows, cols, p):
             return cols
         p -= 2
         while not is_prime(p):
@@ -463,6 +488,15 @@ def _horner(limbs: np.ndarray, p: int, width: int) -> np.ndarray:
         out += limb
         out %= p
     return out
+
+
+def matmul_mod(left: np.ndarray, right: np.ndarray, p: int) -> np.ndarray:
+    """left @ right mod p, for entries in [0, p): left split into int64 limbs
+    of _limb_width bits for the inner dimension, each limb multiplied out,
+    and the dots read back by _horner."""
+    width = _limb_width(p, right.shape[0])
+    limbs = _split(left, -(-p.bit_length() // width), width)
+    return _horner(limbs @ right, p, width)
 
 
 def _join(digits: list[np.ndarray], p: int) -> np.ndarray:

@@ -15,6 +15,12 @@ everything a doubled modular run could, and
 only a shortfall that survives it is a defect candidate. Certification never
 needs escalation because a modular rank cannot overshoot.
 
+Before escalating, the products of forms through the row's trial-0 points
+(terracini.singular_products) bound the generic rank, and so every draw's
+rank over Q, by N + 1 - k. A rank over Q whose pivots reach that bound is
+proven without a certificate, so where the pass's rank meets the bound the
+shortfall is proven and nothing is lifted.
+
 The theorem suite eliminates each case's spanned configuration once: its
 v-span rows come last, so one row rank profile gives the base-locus check
 the dimension before and after the spans are attached, and the Castelnuovo
@@ -53,7 +59,9 @@ from .terracini import (
     best_ranks,
     derived_rng,
     derived_seed,
+    sample_point_pairs,
     secant_dimension,
+    singular_products,
     sized_s_values,
 )
 
@@ -194,6 +202,9 @@ def scan_cell(
 
     best_rank, when given, is the best stacked rank a scan has already
     computed for this s with the row's draws; otherwise it is computed here.
+    A shortfall is escalated over Q at doubled trials, with
+    singular_products' bound on the row's trial-0 points as the ceiling of
+    every rank there (see the module docstring).
     """
     if best_rank is None:
         computed = secant_dimension(params, s, _row_config(params, cfg))
@@ -203,13 +214,15 @@ def scan_cell(
     trials = cfg.trials
     if gap.defect:
         trials = cfg.trials * 2
-        exact = replace(
-            _row_config(params, cfg), trials=trials, field=cfg.field.to_rational()
-        )
+        row = _row_config(params, cfg)
+        k = singular_products(params, sample_point_pairs(params, s, row, 0))
+        ceiling = None if k is None else params.coefficient_count - k
+        exact = replace(row, trials=trials, field=cfg.field.to_rational())
         # a pass over Q has already ranked trials 0 .. T-1 exactly
         first = 0 if cfg.field.is_modular else cfg.trials
         computed = max(
-            computed, secant_dimension(params, s, exact, first_trial=first)
+            computed,
+            secant_dimension(params, s, exact, first_trial=first, ceiling=ceiling),
         )
         gap = defect(params, s, computed)
     th = thresholds(params)

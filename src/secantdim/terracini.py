@@ -24,10 +24,14 @@ import numpy as np
 
 from .linalg import (
     DEFAULT_FIELD,
+    DEFAULT_MODULUS,
+    MAX_MATRIX_ENTRIES,
     FieldConfig,
     Matrix,
     brief,
     check_size,
+    kernel_mod,
+    matmul_mod,
     matrix_from_rows,
     rank,
     rank_profile,
@@ -38,6 +42,8 @@ from .monomials import (
     ExponentVector,
     bihomogeneous_basis,
     derivative_rows,
+    evaluation_row,
+    graded_basis,
 )
 
 # every report prints N = (n+1)C(m+d, d) - 1 or thresholds of that size, and
@@ -248,6 +254,7 @@ def best_ranks(
     s_values: Iterable[int],
     cfg: SampleConfig,
     first_trial: int = 0,
+    ceiling: int | None = None,
 ) -> dict[int, int]:
     """Best rank of s stacked tangent blocks over the draws of trials
     first_trial .. cfg.trials - 1, per s.
@@ -259,6 +266,11 @@ def best_ranks(
     s(n+m+1) rows of the one for max(s), so a single rank profile yields
     every prefix rank. A rank never exceeds its cap min(N+1, s(n+m+1)), so
     each later trial runs only for the s still below it, up to the largest.
+
+    ceiling, when given, is a proven upper bound on the rank of the largest
+    s (singular_products), which a rank over Q of one open s takes in place
+    of its certificate (linalg.rank). A profile cannot: a bound on its total
+    bounds none of its prefixes.
     """
     wanted = sized_s_values(params, s_values, cfg.field)
     kept = params.n + params.m + 1
@@ -273,7 +285,7 @@ def best_ranks(
         mat = stacked_tangent_matrix(params, points, cfg.field)
         if len(open_s) == 1:
             # one s needs only the rank of the whole matrix
-            best[open_s[0]] = max(best[open_s[0]], rank(mat, cfg.field))
+            best[open_s[0]] = max(best[open_s[0]], rank(mat, cfg.field, ceiling))
             continue
         profile = rank_profile(mat, cfg.field)
         for s in open_s:
@@ -282,15 +294,79 @@ def best_ranks(
 
 
 def secant_dimension(
-    params: SegreVeroneseParams, s: int, cfg: SampleConfig, first_trial: int = 0
+    params: SegreVeroneseParams,
+    s: int,
+    cfg: SampleConfig,
+    first_trial: int = 0,
+    ceiling: int | None = None,
 ) -> int:
     """Projective dimension of the span of s sampled tangent spaces.
 
     Takes the best rank over the independent draws of trials first_trial ..
     cfg.trials - 1; the result never exceeds min(N, s(n+m+1) - 1) and
     equals the generic secant dimension with overwhelming probability.
+    ceiling is a proven upper bound on the rank (best_ranks).
     """
-    return best_ranks(params, (s,), cfg, first_trial)[s] - 1
+    return best_ranks(params, (s,), cfg, first_trial, ceiling)[s] - 1
+
+
+def singular_products(
+    params: SegreVeroneseParams, points: Sequence[PointPair]
+) -> int | None:
+    """k, the dimension of the span of the products Q(y) G(x, y) over
+    e = 1 .. d, where Q is a degree-e form through every b_k and G a
+    bidegree-(1, d - e) form through every (a_k, b_k); None when this draw
+    proves nothing.
+
+    Each product is singular at every point, so the generic rank of
+    len(points) = s stacked tangent blocks is at most N + 1 - k. That holds
+    when every kernel used has its generic dimension, that is when every
+    evaluation matrix has rank s: the rank of the product map is then lower
+    semicontinuous, and a rank mod p at integer points is at most their rank
+    over Q. A draw with an evaluation matrix of rank below s gives None.
+
+    Everything is computed mod DEFAULT_MODULUS, whatever prime drew the
+    points. An e with no Q or no G by counts, C(m+e, e) <= s or
+    (n+1) C(m+d-e, d-e) <= s, is skipped before any elimination. The
+    products are ranked by their values at the N + 1 points (e_i, (1, mu)),
+    |mu| <= d, which fix a form of bidegree (1, d) when p > d, as in
+    span_rows' lattice, so k is exact for the draw. A draw whose kernels or
+    products would pass MAX_MATRIX_ENTRIES also gives None.
+    """
+    n, m, d, s = params.n, params.m, params.d, len(points)
+    p, field, cols = DEFAULT_MODULUS, DEFAULT_FIELD, params.coefficient_count
+    # each e with the counts of its degree-e forms in y and its
+    # bidegree-(1, d - e) forms
+    spaces = [
+        (e, comb(m + e, e), (n + 1) * comb(m + d - e, d - e)) for e in range(1, d + 1)
+    ]
+    spaces = [(e, q, g) for e, q, g in spaces if q > s and g > s]
+    if not spaces:
+        return 0
+    products = sum((q - s) * (g - s) for _, q, g in spaces)
+    grids = [c * (c + s) for _, q, g in spaces for c in (q, g)]
+    if max(products * cols, *grids) > MAX_MATRIX_ENTRIES:
+        return None
+    lattice = [(1, *mu[:m]) for mu in graded_basis(m + 1, d).monomials]
+    rows = []
+    for e, _, _ in spaces:
+        head = graded_basis(m + 1, e).monomials
+        tail = graded_basis(m + 1, d - e).monomials
+        both = bihomogeneous_basis(n, m, 1, d - e).combined()
+        q_kernel = kernel_mod(evaluation_row(head, [pt.q for pt in points], field), p)
+        g_kernel = kernel_mod(
+            evaluation_row(both, [pt.p + pt.q for pt in points], field), p
+        )
+        if q_kernel is None or g_kernel is None:
+            return None
+        q_values = matmul_mod(q_kernel, evaluation_row(head, lattice, field).T, p)
+        # the bidegree-(1, d - e) basis runs x_i outer, so a G splits into
+        # n + 1 forms in y, its values at (e_i, (1, mu))
+        g_values = matmul_mod(
+            g_kernel.reshape(-1, len(tail)), evaluation_row(tail, lattice, field).T, p
+        ).reshape(len(g_kernel), n + 1, len(lattice))
+        rows.append((q_values[:, None, None] * g_values % p).reshape(-1, cols))
+    return rank(matrix_from_rows(np.concatenate(rows), cols, field), field)
 
 
 def ideal_dim_bidegree(

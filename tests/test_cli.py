@@ -5,11 +5,12 @@ import resource
 import shlex
 import subprocess
 import sys
+from math import comb
 from pathlib import Path
 
 import pytest
 
-from secantdim import cli, scanner, schemes
+from secantdim import cli, linalg, scanner, schemes
 from secantdim.cli import MAX_RUN_ENTRIES, main
 
 CMD = [sys.executable, "-m", "secantdim"]
@@ -475,3 +476,39 @@ def test_escalated_reports_match_the_golden_bytes(capsys):
         assert main(list(args)) == 0
         transcript += f"$ secantdim {shlex.join(args)}\n" + capsys.readouterr().out
     assert transcript.encode("utf-8") == ESCALATION_GOLDEN.read_bytes()
+
+
+# cells of the unbalanced family at one s each; (8, 2, 3) is a control
+UNBALANCED_SCANS = [
+    ("(8,2,3);(9,2,3);(10,2,3);(11,2,3);(12,2,3)", 9),
+    ("(14,2,4)", 14),
+    ("(18,3,3)", 18),
+]
+
+
+def test_unbalanced_cells_meet_their_closed_form(monkeypatch, capsys):
+    # with C = C(m + d, d) and C - m < s <= min(n, C - 1), the n + 1 - s
+    # linear forms in x through a_1..a_s times the C - s degree-d forms in y
+    # through b_1..b_s are (n + 1 - s)(C - s) independent forms of bidegree
+    # (1, d) singular at every point, so the rank is at most
+    # s(n + 1 + C - s), below the expected s(n + m + 1) as s > C - m. Each
+    # shortfall meets singular_products' bound, so nothing is certified over Q
+    def refuse(*args):
+        raise AssertionError("a shortfall was escalated")
+
+    monkeypatch.setattr(linalg, "_certify", refuse)
+    short = []
+    for grid, s in UNBALANCED_SCANS:
+        args = ("scan", "--grid", grid, "--s-policy", "explicit", "--s-list", str(s))
+        for rec in _main_json(capsys, *args):
+            n, m, d = rec["n"], rec["m"], rec["d"]
+            c = comb(m + d, d)
+            expected = min((n + 1) * c, s * (n + m + 1)) - 1
+            computed = expected
+            if c - m < s <= min(n, c - 1):
+                short.append((n, m, d))
+                computed = s * (n + 1 + c - s) - 1
+            assert (rec["computed"], rec["defect"]) == (computed, expected - computed)
+    # (8, 2, 3) at s = 9 has s > n, so no candidate
+    tall = [(n, 2, 3) for n in range(9, 13)]
+    assert short == [*tall, (14, 2, 4), (18, 3, 3)]

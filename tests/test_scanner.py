@@ -125,7 +125,9 @@ def test_scan_cell_escalates_in_one_exact_step(monkeypatch):
 
     def counted(params, s, cfg, **kwargs):
         calls.append(cfg)
-        assert kwargs == {"first_trial": 0}
+        # no product of forms is singular at five points of (2, 3, 2), so
+        # the bound is N + 1
+        assert kwargs == {"first_trial": 0, "ceiling": 30}
         return real(params, s, cfg, **kwargs)
 
     monkeypatch.setattr(scanner, "secant_dimension", counted)
@@ -139,6 +141,59 @@ def test_scan_cell_escalates_in_one_exact_step(monkeypatch):
     assert calls[0].trials == rec.trials == 4
     # the escalation recomputes the row's own draws
     assert calls[0].seed == scanner._row_config(params, cfg).seed
+
+
+def test_scan_cell_takes_a_met_bound_in_place_of_certificates(monkeypatch):
+    # at (1, 2, 3), s = 5, k = 1 bounds every draw's rank over Q by
+    # N + 1 - k = 19, the pass's rank: each of the escalation's four ranks
+    # over Q reaches it, so its pivots prove it with nothing lifted
+    params = SegreVeroneseParams(1, 2, 3)
+    certified = []
+    real = linalg._certify
+
+    def certify(*args):
+        certified.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(linalg, "_certify", certify)
+    proven = scan_cell(params, 5, CFG)
+    assert certified == []
+    assert (proven.computed, proven.defect, proven.trials) == (18, 1, 4)
+    # without the bound each rank is certified, to the same record
+    monkeypatch.setattr(scanner, "singular_products", lambda params, points: None)
+    assert scan_cell(params, 5, CFG) == proven
+    assert len(certified) == 4
+
+
+@pytest.mark.parametrize(
+    "cell, s, k",
+    [
+        # special draws over GF(11) from the escalation golden's scan: at
+        # s = 3 two b_k are the same point of P^1, which leaves the bound
+        # None; at s = 4 no e has both a Q and a G, so k = 0
+        ((1, 1, 4), 3, None),
+        ((1, 1, 4), 4, 0),
+    ],
+)
+def test_scan_cell_escalates_a_shortfall_the_bound_does_not_meet(
+    monkeypatch, cell, s, k
+):
+    params = SegreVeroneseParams(*cell)
+    cfg = SampleConfig(seed=0, trials=1, field=FieldConfig(modulus=11))
+    row = scanner._row_config(params, cfg)
+    points = terracini.sample_point_pairs(params, s, row, 0)
+    assert terracini.singular_products(params, points) == k
+    exact = []
+    real = scanner.secant_dimension
+
+    def counted(params, s, cfg, **kwargs):
+        exact.append(not cfg.field.is_modular)
+        return real(params, s, cfg, **kwargs)
+
+    monkeypatch.setattr(scanner, "secant_dimension", counted)
+    rec = scan_cell(params, s, cfg)
+    assert exact == [False, True]
+    assert (rec.defect, rec.trials) == (0, 2)
 
 
 def test_scan_cell_defect_survives_exact_backend():
@@ -165,10 +220,10 @@ def test_exact_pass_escalates_without_reranking_its_own_draws(
     def counted(name):
         real = getattr(terracini, name)
 
-        def eliminate(mat, cfg):
+        def eliminate(mat, cfg, *ceiling):
             assert not cfg.is_modular
             eliminations.append((name, mat.rows))
-            return real(mat, cfg)
+            return real(mat, cfg, *ceiling)
 
         return eliminate
 

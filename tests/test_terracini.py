@@ -1,6 +1,7 @@
 """Tangent blocks and sampled secant dimensions."""
 
 from bisect import bisect_left
+from itertools import product
 from math import comb
 
 import numpy as np
@@ -8,8 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from secantdim import terracini
-from secantdim.expected import expected_secant_dim
+from secantdim import linalg, terracini
+from secantdim.expected import expected_secant_dim, thresholds
 from secantdim.linalg import (
     DEFAULT_MODULUS,
     EXACT_RATIONAL,
@@ -32,6 +33,7 @@ from secantdim.terracini import (
     random_point_pair,
     sample_point_pairs,
     secant_dimension,
+    singular_products,
     stacked_tangent_matrix,
     tangent_block,
 )
@@ -322,3 +324,72 @@ def test_sample_points_reproducible_and_backend_independent():
     assert sample_point_pairs(params, 3, mod_cfg, 0) != sample_point_pairs(
         params, 3, mod_cfg, 1
     )
+
+
+@pytest.mark.parametrize("modulus", [DEFAULT_MODULUS, 7, 11])
+def test_singular_products_never_bound_below_a_sampled_rank(modulus):
+    # N + 1 - k bounds the generic rank, which no sampled rank exceeds, at
+    # any prime the points are drawn with
+    cfg = SampleConfig(seed=0, trials=2, field=FieldConfig(modulus))
+    bounds = []
+    for n, m, d in product((1, 2), (1, 2), (1, 2, 3, 4)):
+        params = SegreVeroneseParams(n, m, d)
+        s_values = range(1, thresholds(params).s2 + 2)
+        ranks = best_ranks(params, s_values, cfg)
+        for s in s_values:
+            k = singular_products(params, sample_point_pairs(params, s, cfg, 0))
+            if k is not None:
+                assert params.coefficient_count - k >= ranks[s]
+                bounds.append(k)
+    assert any(bounds)
+
+
+@pytest.mark.parametrize(
+    "cell, s, k, bound",
+    [
+        # a conic through the five b_k times a (1, 1)-form through the five
+        # points; e = 1 and e = 3 have no Q or no G by counts
+        ((1, 2, 3), 5, 1, 19),
+        # unbalanced: linear forms in x through the a_k times cubics in y
+        # through the b_k, rank s(n + 1 + C - s) with C = C(m + d, d)
+        ((10, 2, 3), 9, 2, 9 * (11 + 10 - 9)),
+        # the Segre product: rank s(n + m + 2 - s)
+        ((3, 3, 1), 2, 4, 2 * (3 + 3 + 2 - 2)),
+    ],
+)
+def test_singular_products_meet_the_sampled_rank(monkeypatch, cell, s, k, bound):
+    shapes = []
+
+    def kernel(values, p):
+        shapes.append(values.shape)
+        return linalg.kernel_mod(values, p)
+
+    monkeypatch.setattr(terracini, "kernel_mod", kernel)
+    params = SegreVeroneseParams(*cell)
+    assert singular_products(params, sample_point_pairs(params, s, CFG, 0)) == k
+    assert best_ranks(params, (s,), CFG)[s] == params.coefficient_count - k == bound
+    if cell == (1, 2, 3):
+        # the conics' 5 x 6 evaluations, then the (1, 1)-forms' 5 x 6
+        assert shapes == [(5, 6), (5, 6)]
+
+
+def test_singular_products_refuse_a_draw_with_two_equal_b():
+    params = SegreVeroneseParams(1, 2, 3)
+    points = sample_point_pairs(params, 5, CFG, 0)
+    points[3] = PointPair(points[3].p, points[0].q)
+    # the five b_k impose only four conditions on conics
+    assert singular_products(params, points) is None
+
+
+def test_singular_products_skip_the_d2_fixture_cells_by_counts(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("an elimination ran")
+
+    monkeypatch.setattr(linalg, "_eliminate", refuse)
+    for n, m in ((2, 3), (3, 4), (4, 3), (2, 5)):
+        params = SegreVeroneseParams(n, m, 2)
+        # from s = max(n, m) + 1, C(m + 1, 1) <= s and n + 1 <= s, so neither
+        # e has both a Q and a G; the fixture's candidates all lie here
+        for s in range(max(n, m) + 1, thresholds(params).s2 + 2):
+            points = sample_point_pairs(params, s, CFG, 0)
+            assert singular_products(params, points) == 0
