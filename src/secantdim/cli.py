@@ -44,7 +44,7 @@ from .terracini import SampleConfig, SegreVeroneseParams
 
 _BACKENDS = {"modular": MODULAR, "exact": EXACT_RATIONAL}
 _GRID_CELL = re.compile(r"\s*\(\s*(\d+)\s*,\s*(\d+)\s*,\s*(\d+)\s*\)\s*")
-# a refusal echoes at most this much of an unparsed --grid cell
+# a refusal echoes at most this much of an unparsed --grid or --s-list entry
 _ECHO_CHARS = 40
 # the most --trials accepted. A row that never reaches its rank cap runs
 # every trial, and a shortfall reruns them over Q at twice the count:
@@ -184,7 +184,8 @@ def build_parser() -> argparse.ArgumentParser:
             "skip every cell with d < 3; a grid of such cells reports "
             "cellsChecked 0. They run q_max (t_max + 1) cases per cell, and the "
             "condition matrices of a run's spanned configurations may hold "
-            f"at most {MAX_RUN_ENTRIES:,} entries in all"
+            f"at most {MAX_RUN_ENTRIES:,} entries in all. A dictionary or formula "
+            "mismatch is rechecked once over Q at doubled trials before it fails"
         ),
     )
     p_ver.add_argument(
@@ -209,6 +210,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _refusal(what: str, text: str) -> ValueError:
+    """The refusal of unparsed text, quoting at most _ECHO_CHARS of it."""
+    cut = f" ({len(text)} characters)" if len(text) > _ECHO_CHARS else ""
+    return ValueError(f"could not parse {what} {text[:_ECHO_CHARS]!r}{cut}")
+
+
 def _parse_grids(args: argparse.Namespace) -> list[ScanGrid]:
     """The grids a command runs. dim n m d s is the one-cell grid with the
     explicit s list (s,), so it runs as a scan of that cell. Otherwise: one
@@ -221,13 +228,14 @@ def _parse_grids(args: argparse.Namespace) -> list[ScanGrid]:
     if args.command == "scan":
         if args.s_margin is not None and args.s_policy != ALL_UP_TO:
             raise ValueError(f"--s-margin needs --s-policy {ALL_UP_TO}")
-        s_list = (
-            tuple(sorted({int(x) for x in args.s_list.split(",")}))
-            if args.s_list
-            else ()
-        )
+        s_list = set()
+        for entry in args.s_list.split(",") if args.s_list else ():
+            try:
+                s_list.add(int(entry))
+            except ValueError:
+                raise _refusal("--s-list entry", entry) from None
         margin = 1 if args.s_margin is None else args.s_margin
-        policy = (args.s_policy, margin, s_list)
+        policy = (args.s_policy, margin, tuple(sorted(s_list)))
     else:
         if args.target == "dictionary" and (
             args.q_max is not None or args.t_max is not None
@@ -245,10 +253,7 @@ def _parse_grids(args: argparse.Namespace) -> list[ScanGrid]:
     for text in args.grid.split(";"):
         match = _GRID_CELL.fullmatch(text)
         if match is None:
-            cut = f" ({len(text)} characters)" if len(text) > _ECHO_CHARS else ""
-            raise ValueError(
-                f"could not parse grid cell {text[:_ECHO_CHARS]!r}{cut}"
-            )
+            raise _refusal("grid cell", text)
         cells.add(tuple(int(v) for v in match.groups()))
     return [ScanGrid((n,), (m,), (d,), *policy) for n, m, d in sorted(cells)]
 

@@ -6,20 +6,20 @@ of them, so every s of a row comes from one rank profile. Results do not
 depend on traversal order, a single cell computed on its own equals its
 record in a scan, and identical inputs reproduce byte-identical reports.
 
-A cell whose computed dimension falls short of the expected one is escalated
-before being reported, in one step: the row's draws are ranked over the
-rationals at doubled trials, a rank over Q being a modular rank proven by a
-certificate. A pass already over Q ranks only the new draws. An integer
-matrix has at least its modular rank over Q, so this step settles
-everything a doubled modular run could, and
-only a shortfall that survives it is a defect candidate. Certification never
-needs escalation because a modular rank cannot overshoot.
+The scan and verify share one settle step (settle). A value sampled at
+explicit points only bounds its generic value, a rank from below and a
+scheme dimension from above, so a value that misses its target is sampled
+again on the same streams over the rationals at doubled trials, the better
+value stands, and only a miss that survives is reported. An integer matrix
+has at least its modular rank over Q, so this settles everything a doubled
+modular run could. The scan settles a shortfall against the expected
+dimension (a pass already over Q ranks only the new draws), verify a
+dictionary mismatch on both sides and a scheme dimension against its formula.
 
-Before escalating, the products of forms through the row's trial-0 points
-(terracini.singular_products) bound the generic rank, and so every draw's
-rank over Q, by N + 1 - k. A rank over Q whose pivots reach that bound is
-proven without a certificate, so where the pass's rank meets the bound the
-shortfall is proven and nothing is lifted.
+Before settling a shortfall, the products of forms through the row's
+trial-0 points (terracini.singular_products) bound the generic rank, and so
+every draw's rank over Q, by N + 1 - k. A rank over Q whose pivots reach
+that bound needs no certificate, so nothing is lifted where the pass meets it.
 
 The theorem suite eliminates each case's spanned configuration once: its
 v-span rows come last, so one row rank profile gives the base-locus check
@@ -32,12 +32,13 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, fields, replace
-from functools import cached_property
-from typing import Iterator, Sequence
+from functools import cached_property, partial
+from typing import Callable, Iterator, Sequence
 
-from .expected import defect, expected_scheme_dim, thresholds
+from .expected import defect, expected_scheme_dim, expected_secant_dim, thresholds
 from .linalg import brief, check_size
 from .schemes import (
+    _DICTIONARY_TAG,
     CastelnuovoCheck,
     ResidualTracePair,
     SchemeSpec,
@@ -51,7 +52,6 @@ from .schemes import (
     scheme_ideal_dimension,
     scheme_to_dict,
     v_span_dimensions,
-    verify_dictionary,
 )
 from .terracini import (
     SampleConfig,
@@ -59,6 +59,7 @@ from .terracini import (
     best_ranks,
     derived_rng,
     derived_seed,
+    ideal_dim_bidegree,
     sample_point_pairs,
     secant_dimension,
     singular_products,
@@ -192,39 +193,44 @@ def _row_config(params: SegreVeroneseParams, cfg: SampleConfig) -> SampleConfig:
     return replace(cfg, seed=derived_seed(cfg.seed, params.n, params.m, params.d))
 
 
+def settle(
+    value: int, target: int, cfg: SampleConfig, sample: Callable, better=max
+) -> tuple[int, int]:
+    """value, sampled over cfg.trials draws, settled against target (see the
+    module docstring), with the trials behind the result. sample takes a
+    config; better is max for a rank and min for a dimension."""
+    if value == target:
+        return value, cfg.trials
+    doubled = replace(cfg, trials=2 * cfg.trials, field=cfg.field.to_rational())
+    return better(value, sample(doubled)), doubled.trials
+
+
 def scan_cell(
     params: SegreVeroneseParams,
     s: int,
     cfg: SampleConfig,
     best_rank: int | None = None,
 ) -> SecantRecord:
-    """Scan one (n, m, d, s) cell, escalating any apparent defect.
+    """Scan one (n, m, d, s) cell, settling any apparent defect.
 
     best_rank, when given, is the best stacked rank a scan has already
     computed for this s with the row's draws; otherwise it is computed here.
-    A shortfall is escalated over Q at doubled trials, with
-    singular_products' bound on the row's trial-0 points as the ceiling of
-    every rank there (see the module docstring).
+    A shortfall is settled with singular_products' ceiling (module docstring).
     """
     if best_rank is None:
-        computed = secant_dimension(params, s, _row_config(params, cfg))
-    else:
-        computed = best_rank - 1
-    gap = defect(params, s, computed)
-    trials = cfg.trials
-    if gap.defect:
-        trials = cfg.trials * 2
-        row = _row_config(params, cfg)
+        best_rank = secant_dimension(params, s, _row_config(params, cfg)) + 1
+
+    def escalate(exact: SampleConfig) -> int:
+        row = _row_config(params, exact)
         k = singular_products(params, sample_point_pairs(params, s, row, 0))
         ceiling = None if k is None else params.coefficient_count - k
-        exact = replace(row, trials=trials, field=cfg.field.to_rational())
         # a pass over Q has already ranked trials 0 .. T-1 exactly
         first = 0 if cfg.field.is_modular else cfg.trials
-        computed = max(
-            computed,
-            secant_dimension(params, s, exact, first_trial=first, ceiling=ceiling),
-        )
-        gap = defect(params, s, computed)
+        return secant_dimension(params, s, row, first_trial=first, ceiling=ceiling)
+
+    expected = expected_secant_dim(params, s)
+    computed, trials = settle(best_rank - 1, expected, cfg, escalate)
+    gap = defect(params, s, computed)
     th = thresholds(params)
     in_range = params.d >= 3 and (s <= th.s1 or s >= th.s2)
     if gap.defect == 0:
@@ -253,9 +259,8 @@ def scan_cell(
 def scan_rows(
     grid: ScanGrid, cfg: SampleConfig
 ) -> list[tuple[SegreVeroneseParams, Sequence[int]]]:
-    """Every (n, m, d) row of the grid with the s values scan computes,
-    each row refused before any row computes if best_ranks would refuse
-    it."""
+    """Every (n, m, d) row of the grid with the s values scan computes, each
+    row refused before any row computes if best_ranks would refuse it."""
     rows = []
     for n, m, d in grid.cells():
         params = SegreVeroneseParams(n, m, d)
@@ -292,14 +297,9 @@ def dictionary_rows(
 ) -> list[tuple[SegreVeroneseParams, Sequence[int]]]:
     """Every (n, m, d) row of the grid with s = 0 .. s2+1, the s values
     verify_dictionary_grid checks, each row refused before any row computes
-    if best_ranks would refuse its s >= 1."""
-    rows = []
-    for n, m, d in grid.cells():
-        params = SegreVeroneseParams(n, m, d)
-        ranked = range(1, thresholds(params).s2 + 2)
-        sized_s_values(params, ranked, cfg.field)
-        rows.append((params, range(0, ranked.stop)))
-    return rows
+    if best_ranks would refuse its s >= 1, the theorem range s = 1 .. s2+1."""
+    theorem = replace(grid, s_policy=THEOREM_RANGE, s_margin=1, s_list=())
+    return [(params, range(0, s.stop)) for params, s in scan_rows(theorem, cfg)]
 
 
 def verify_dictionary_grid(grid: ScanGrid, cfg: SampleConfig) -> VerifySummary:
@@ -322,19 +322,28 @@ def _dictionary_failures(
     params: SegreVeroneseParams, s_values: range, cfg: SampleConfig
 ) -> dict[int, dict]:
     """The lhs and rhs of the dictionary check at each s of one (n, m, d) row
-    where they differ. The lhs of every s comes from one best_ranks pass on
-    the row's draws, as in a scan; the rhs of each s from verify_dictionary
-    on its own (seed, n, m, d, s) stream."""
+    where they differ once settled. The lhs of every s comes from one
+    best_ranks pass on the row's draws, as in a scan; the rhs of each s from
+    best_scheme_dimension on its own (seed, n, m, d, s) stream. A mismatch
+    settles both sides, each against the other's sampled value."""
+    row = _row_config(params, cfg)
     # s = 0 stacks no tangent space, so its rank is 0
     ranked = s_values[1:] if s_values[0] == 0 else s_values
-    ranks = best_ranks(params, ranked, _row_config(params, cfg))
+    ranks = best_ranks(params, ranked, row)
     failures = {}
     for s in s_values:
         seed = derived_seed(cfg.seed, params.n, params.m, params.d, s)
+        own = replace(cfg, seed=seed)
+        key = (seed, _DICTIONARY_TAG)
+        rhs_at = partial(best_scheme_dimension, params, s, 0, key=key)
         lhs = params.coefficient_count - ranks.get(s, 0)
-        check = verify_dictionary(params, s, replace(cfg, seed=seed), lhs)
-        if not check.equal:
-            failures[s] = {"lhs": check.lhs, "rhs": check.rhs}
+        rhs = rhs_at(own)
+        (lhs, _), (rhs, _) = (
+            settle(lhs, rhs, row, partial(ideal_dim_bidegree, params, s), min),
+            settle(rhs, lhs, own, rhs_at, min),
+        )
+        if lhs != rhs:
+            failures[s] = {"lhs": lhs, "rhs": rhs}
     return failures
 
 
@@ -384,12 +393,12 @@ def verify_theorem_suite(
     """Exercise the flag-scheme dimension formula and its proof steps.
 
     Per (n, m, d) cell with d >= 3 and per q: the dictionary at s = (n+1)q,
-    verify_dictionary_grid's check at that s on its draws (row draws for the
-    lhs, the (seed, n, m, d, s) stream for the rhs); then per t: the
-    closed-form scheme dimension, invariance under attaching base-locus
-    spans, the residual/trace bound, and the projection onto P^m. Failures
-    carry the offending configuration in JSON form. Every cell is sized
-    (theorem_cells) before the first case runs.
+    verify_dictionary_grid's check at that s on the same draws; then per t:
+    the closed-form scheme dimension, invariance under attaching base-locus
+    spans, the residual/trace bound, and the projection onto P^m. The
+    dictionary and the formula settle a mismatch (settle). Failures carry the
+    offending configuration in JSON form. Every cell is sized (theorem_cells)
+    before the first case runs.
     """
     unknown = set(checks) - set(ALL_CHECKS)
     if unknown:
@@ -399,10 +408,9 @@ def verify_theorem_suite(
     cells = 0
     for params in theorem_cells(grid, q_max, t_max):
         n = params.n
-        s_max = (n + 1) * q_max
         dictionary = {}
         if CHECK_DICTIONARY in checks:
-            s_values = range(n + 1, s_max + 1, n + 1)
+            s_values = range(n + 1, (n + 1) * q_max + 1, n + 1)
             dictionary = _dictionary_failures(params, s_values, cfg)
         for q in range(1, q_max + 1):
             if (detail := dictionary.get((n + 1) * q)) is not None:
@@ -484,9 +492,9 @@ def _run_checks(case: _Case, names: Sequence[str]) -> list[dict]:
 
 def _check_formula(case: _Case) -> dict | None:
     expected = expected_scheme_dim(case.params, case.q, case.t)
-    best = best_scheme_dimension(
-        case.params, case.s, case.t, case.cfg, (*case.key, _TAG_FORMULA)
-    )
+    key = (*case.key, _TAG_FORMULA)
+    sample = partial(best_scheme_dimension, case.params, case.s, case.t, key=key)
+    best, _ = settle(sample(case.cfg), expected, case.cfg, sample, min)
     if best == expected:
         return None
     return {"expected": expected, "computed": best}

@@ -428,17 +428,14 @@ class DictionaryCheck:
 
 
 def verify_dictionary(
-    params: SegreVeroneseParams, s: int, cfg: SampleConfig, lhs: int | None = None
+    params: SegreVeroneseParams, s: int, cfg: SampleConfig
 ) -> DictionaryCheck:
     """Cross-check the two sides on independent random draws.
 
     Each side takes its best value over cfg.trials draws, so both settle on
-    the generic dimension with overwhelming probability. lhs, when given, is
-    the bidegree side a caller has already computed; otherwise it is
-    computed here from cfg.
+    the generic dimension with overwhelming probability.
     """
-    if lhs is None:
-        lhs = ideal_dim_bidegree(params, s, cfg)
+    lhs = ideal_dim_bidegree(params, s, cfg)
     rhs = best_scheme_dimension(params, s, 0, cfg, (cfg.seed, _DICTIONARY_TAG))
     return DictionaryCheck(lhs, rhs)
 

@@ -141,6 +141,8 @@ def test_exact_backend_agrees_with_modular():
         ("thresholds", "1", "2", "3", "--seed", "4"),
         ("thresholds", "1", "2", "3", "--trials", "9"),
         ("thresholds", "1", "2", "3", "--backend", "exact"),
+        ("scan", "--grid", "(1,1,3)", "--s-policy", "explicit", "--s-list", "1,,2"),
+        ("scan", "--grid", "(1,1,3)", "--s-policy", "explicit", "--s-list", "1,x"),
     ],
 )
 def test_invalid_inputs_exit_two(args):
@@ -359,6 +361,9 @@ UNPARSED_CELL = "(1,2," + "x" * 5000 + ")"
         ("scan", "--grid", UNPARSED_CELL),
         # a genuine defect runs every trial, so this count would never end
         ("dim", "2", "3", "2", "5", "--trials", "1000000000"),
+        # an --s-list entry that does not parse is echoed only in part too
+        ("scan", "--grid", "(1,1,3)", "--s-policy", "explicit",
+         "--s-list", "1," + "9" * 5000),
     ],
 )
 def test_count_too_long_to_print_exits_two_at_once(args):
@@ -368,6 +373,8 @@ def test_count_too_long_to_print_exits_two_at_once(args):
     assert proc.stdout == ""
     if UNPARSED_CELL in args:
         assert "grid cell" in proc.stderr
+    elif "--s-list" in args:
+        assert "--s-list entry" in proc.stderr
     elif "--trials" in args:
         assert "limit of 1,000" in proc.stderr
     else:
@@ -445,6 +452,28 @@ def test_s_margin_applies_to_all_up_to(capsys):
 def test_grid_error_quotes_the_unparsed_text(capsys, grid, unparsed):
     assert main(["scan", "--grid", grid]) == 2
     assert repr(unparsed) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "s_list, unparsed", [("1,,2", ""), ("1,x", "x"), (" 2 ,3a", "3a")]
+)
+def test_s_list_error_names_its_flag_and_quotes_the_entry(capsys, s_list, unparsed):
+    args = ["scan", "--grid", "(1,1,3)", "--s-policy", "explicit", "--s-list", s_list]
+    assert main(args) == 2
+    assert f"could not parse --s-list entry {unparsed!r}" in capsys.readouterr().err
+
+
+def test_verify_dictionary_settles_special_draws_at_a_small_prime(
+    monkeypatch, capsys
+):
+    args = ["verify", "dictionary", "--n-max", "2", "--m-max", "2",
+            "--prime", "7", "--trials", "3"]
+    assert main(args) == 0
+    assert json.loads(capsys.readouterr().out)["failures"] == []
+    # a plain best over the three trials reports three special draws
+    monkeypatch.setattr(scanner, "settle", lambda value, target, cfg, *_: (value, 3))
+    assert main(args) == 1
+    assert len(json.loads(capsys.readouterr().out)["failures"]) == 3
 
 
 def test_grid_cells_allow_whitespace_around_separators(capsys):

@@ -416,9 +416,10 @@ def test_verify_dictionary_grid_takes_one_pass_per_row(monkeypatch, suite):
 
 def test_both_suites_report_the_same_dictionary_check():
     # at a small prime both suites find mismatches; the theorem suite's check
-    # at (q, t = None) is verify dictionary's at s = (n+1)q, entry for entry
+    # at (q, t = None) is verify dictionary's at s = (n+1)q, entry for entry.
+    # One trial leaves mismatches that survive the settle step
     grid = grid_from_ranges(2, 2, 3, 4)
-    cfg = SampleConfig(seed=0, trials=3, field=FieldConfig(modulus=7))
+    cfg = SampleConfig(seed=0, trials=1, field=FieldConfig(modulus=7))
     by_s = {
         (f["n"], f["m"], f["d"], f["s"]): f
         for f in verify_dictionary_grid(grid, cfg).failures
@@ -434,6 +435,63 @@ def test_both_suites_report_the_same_dictionary_check():
     # and every mismatch at some s = (n+1)q, q <= 2, shows in both
     at_q = [(n, s) for n, m, d, s in by_s if s % (n + 1) == 0 and s <= 2 * (n + 1)]
     assert len(at_q) == len(theorem)
+
+
+def test_settle_keeps_a_value_that_meets_its_target():
+    def sample(cfg):
+        raise AssertionError("a value on target is not sampled again")
+
+    assert scanner.settle(7, 7, CFG, sample) == (7, 2)
+
+
+def test_settle_samples_a_miss_again_over_q_at_doubled_trials():
+    seen = []
+
+    def sample(cfg):
+        seen.append(cfg)
+        return 5
+
+    cfg = SampleConfig(seed=3, trials=2, field=FieldConfig(modulus=7))
+    # a rank keeps the larger value, a dimension the smaller
+    assert scanner.settle(4, 6, cfg, sample) == (5, 4)
+    assert scanner.settle(6, 7, cfg, sample) == (6, 4)
+    assert scanner.settle(6, 4, cfg, sample, min) == (5, 4)
+    rational = FieldConfig(modulus=7).to_rational()
+    assert seen == [SampleConfig(seed=3, trials=4, field=rational)] * 3
+
+
+def _unsettled(value, target, cfg, sample, better=max):
+    """settle as a plain best over trials: the value as sampled."""
+    return value, cfg.trials
+
+
+def test_verify_theorem_settles_special_draws_at_a_small_prime(monkeypatch):
+    # a plain best over three trials reports six special draws as failures;
+    # settled, every one of them meets its target
+    grid = grid_from_ranges(2, 2, 3, 4)
+    cfg = SampleConfig(seed=0, trials=3, field=FieldConfig(modulus=11))
+    assert verify_theorem_suite(grid, cfg).ok
+    monkeypatch.setattr(scanner, "settle", _unsettled)
+    assert len(verify_theorem_suite(grid, cfg).failures) == 6
+
+
+def test_a_mismatch_that_survives_settling_is_reported(monkeypatch):
+    # seven failures settle to one: a formula draw that is special at all
+    # six trials over Q too. The entry keeps its keys, and trials reads the
+    # requested count
+    grid = grid_from_ranges(2, 2, 3, 4)
+    cfg = SampleConfig(seed=0, trials=3, field=FieldConfig(modulus=7))
+    survivor = {
+        "check": CHECK_FORMULA, "n": 1, "m": 2, "d": 4, "q": 2, "t": 2,
+        "seed": 0, "trials": 3, "modulus": 7, "expected": 10, "computed": 11,
+    }
+    failures = verify_theorem_suite(grid, cfg).failures
+    assert failures == (survivor,)
+    assert list(failures[0]) == list(survivor)
+    monkeypatch.setattr(scanner, "settle", _unsettled)
+    unsettled = verify_theorem_suite(grid, cfg).failures
+    assert len(unsettled) == 7
+    assert survivor in unsettled
 
 
 def test_scan_matches_the_benchmark_golden_report():

@@ -39,7 +39,6 @@ from secantdim.terracini import (
     SegreVeroneseParams,
     derived_rng,
     draw_projective_point,
-    ideal_dim_bidegree,
 )
 
 MOD = FieldConfig()
@@ -554,15 +553,6 @@ def test_span_rows_refuse_a_modulus_up_to_the_a_degree(modulus):
     with pytest.raises(ValueError, match="must exceed"):
         span_rows(basis, 2, (1, 2, 3, 4), FieldConfig(modulus=modulus))
     assert len(span_rows(basis, 2, (1, 2, 3, 4), FieldConfig(modulus=7))) == 21
-
-
-def test_precomputed_dictionary_lhs_is_used_as_given():
-    params = SegreVeroneseParams(1, 2, 3)
-    lhs = ideal_dim_bidegree(params, 2, CFG)
-    assert verify_dictionary(params, 2, CFG, lhs) == verify_dictionary(
-        params, 2, CFG
-    )
-    assert verify_dictionary(params, 2, CFG, lhs + 1).lhs == lhs + 1
 
 
 @st.composite
