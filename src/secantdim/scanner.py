@@ -12,14 +12,14 @@ scheme dimension from above, so a value that misses its target is sampled
 again on the same streams over the rationals at doubled trials, the better
 value stands, and only a miss that survives is reported. An integer matrix
 has at least its modular rank over Q, so this settles everything a doubled
-modular run could. The scan settles a shortfall against the expected
-dimension (a pass already over Q ranks only the new draws), verify a
-dictionary mismatch on both sides and a scheme dimension against its formula.
+modular run could; after a pass over Q only trials T .. 2T-1 are new. The
+scan settles a shortfall, verify a dictionary mismatch on both sides and a
+scheme dimension against its formula.
 
-Before settling a shortfall, the products of forms through the row's
-trial-0 points (terracini.singular_products) bound the generic rank, and so
-every draw's rank over Q, by N + 1 - k. A rank over Q whose pivots reach
-that bound needs no certificate, so nothing is lifted where the pass meets it.
+Every rank, a scan's or a dictionary lhs's, is settled by _exact_rank: the
+products of forms through the row's trial-0 points (singular_products)
+bound the generic rank, and so every draw's rank over Q, by N + 1 - k. A
+rank over Q whose pivots reach that bound needs no certificate.
 
 The theorem suite eliminates each case's spanned configuration once: its
 v-span rows come last, so one row rank profile gives the base-locus check
@@ -59,7 +59,6 @@ from .terracini import (
     best_ranks,
     derived_rng,
     derived_seed,
-    ideal_dim_bidegree,
     sample_point_pairs,
     secant_dimension,
     singular_products,
@@ -196,13 +195,23 @@ def _row_config(params: SegreVeroneseParams, cfg: SampleConfig) -> SampleConfig:
 def settle(
     value: int, target: int, cfg: SampleConfig, sample: Callable, better=max
 ) -> tuple[int, int]:
-    """value, sampled over cfg.trials draws, settled against target (see the
-    module docstring), with the trials behind the result. sample takes a
-    config; better is max for a rank and min for a dimension."""
+    """value, sampled over cfg.trials draws, settled against target (module
+    docstring), with the trials behind the result. sample takes a config and
+    walks it from first_trial; better is max for a rank, min for a dimension."""
     if value == target:
         return value, cfg.trials
-    doubled = replace(cfg, trials=2 * cfg.trials, field=cfg.field.to_rational())
+    first = 0 if cfg.field.is_modular else cfg.trials
+    field = cfg.field.to_rational()
+    doubled = replace(cfg, trials=2 * cfg.trials, field=field, first_trial=first)
     return better(value, sample(doubled)), doubled.trials
+
+
+def _exact_rank(params: SegreVeroneseParams, s: int, cfg: SampleConfig) -> int:
+    """settle's rank sampler: s ranked on the row's draws under ceiling N+1-k."""
+    row = _row_config(params, cfg)
+    k = singular_products(params, sample_point_pairs(params, s, row, 0))
+    ceiling = None if k is None else params.coefficient_count - k
+    return secant_dimension(params, s, row, ceiling=ceiling) + 1
 
 
 def scan_cell(
@@ -215,22 +224,12 @@ def scan_cell(
 
     best_rank, when given, is the best stacked rank a scan has already
     computed for this s with the row's draws; otherwise it is computed here.
-    A shortfall is settled with singular_products' ceiling (module docstring).
     """
     if best_rank is None:
         best_rank = secant_dimension(params, s, _row_config(params, cfg)) + 1
-
-    def escalate(exact: SampleConfig) -> int:
-        row = _row_config(params, exact)
-        k = singular_products(params, sample_point_pairs(params, s, row, 0))
-        ceiling = None if k is None else params.coefficient_count - k
-        # a pass over Q has already ranked trials 0 .. T-1 exactly
-        first = 0 if cfg.field.is_modular else cfg.trials
-        return secant_dimension(params, s, row, first_trial=first, ceiling=ceiling)
-
     expected = expected_secant_dim(params, s)
-    computed, trials = settle(best_rank - 1, expected, cfg, escalate)
-    gap = defect(params, s, computed)
+    rank, trials = settle(best_rank, expected + 1, cfg, partial(_exact_rank, params, s))
+    gap = defect(params, s, rank - 1)
     th = thresholds(params)
     in_range = params.d >= 3 and (s <= th.s1 or s >= th.s2)
     if gap.defect == 0:
@@ -322,28 +321,28 @@ def _dictionary_failures(
     params: SegreVeroneseParams, s_values: range, cfg: SampleConfig
 ) -> dict[int, dict]:
     """The lhs and rhs of the dictionary check at each s of one (n, m, d) row
-    where they differ once settled. The lhs of every s comes from one
-    best_ranks pass on the row's draws, as in a scan; the rhs of each s from
-    best_scheme_dimension on its own (seed, n, m, d, s) stream. A mismatch
-    settles both sides, each against the other's sampled value."""
-    row = _row_config(params, cfg)
-    # s = 0 stacks no tangent space, so its rank is 0
+    where they differ once settled. The lhs of every s is N + 1 less a rank
+    from one best_ranks pass on the row's draws, as in a scan; the rhs of
+    each s from best_scheme_dimension on its own (seed, n, m, d, s) stream.
+    A mismatch settles both sides, each against the other's sampled value."""
+    total = params.coefficient_count
+    # s = 0 stacks no tangent space: its rank is 0, which is also its target
     ranked = s_values[1:] if s_values[0] == 0 else s_values
-    ranks = best_ranks(params, ranked, row)
+    ranks = best_ranks(params, ranked, _row_config(params, cfg))
     failures = {}
     for s in s_values:
         seed = derived_seed(cfg.seed, params.n, params.m, params.d, s)
         own = replace(cfg, seed=seed)
         key = (seed, _DICTIONARY_TAG)
+        rank_at = partial(_exact_rank, params, s)
         rhs_at = partial(best_scheme_dimension, params, s, 0, key=key)
-        lhs = params.coefficient_count - ranks.get(s, 0)
-        rhs = rhs_at(own)
-        (lhs, _), (rhs, _) = (
-            settle(lhs, rhs, row, partial(ideal_dim_bidegree, params, s), min),
-            settle(rhs, lhs, own, rhs_at, min),
+        rank, rhs = ranks.get(s, 0), rhs_at(own)
+        (rank, _), (rhs, _) = (
+            settle(rank, total - rhs if s else 0, cfg, rank_at),
+            settle(rhs, total - rank, own, rhs_at, min),
         )
-        if lhs != rhs:
-            failures[s] = {"lhs": lhs, "rhs": rhs}
+        if total - rank != rhs:
+            failures[s] = {"lhs": total - rank, "rhs": rhs}
     return failures
 
 

@@ -394,7 +394,7 @@ def best_scheme_dimension(
     key: tuple[int, ...],
 ) -> int:
     """Smallest degree-(d+1) dimension of the flag configuration with s
-    double points and t spans over cfg.trials draws.
+    double points and t spans over trials cfg.first_trial .. cfg.trials - 1.
 
     Trial k draws from derived_rng(*key, k). A special draw can only raise
     the dimension, so the minimum is the generic value once any draw is
@@ -404,7 +404,7 @@ def best_scheme_dimension(
     """
     degree = params.d + 1
     dims = []
-    for trial in range(cfg.trials):
+    for trial in range(cfg.first_trial, cfg.trials):
         spec = sample_scheme(
             params, s, t, derived_rng(*key, trial), cfg.field.modulus
         )

@@ -114,17 +114,20 @@ class PointPair:
 
 @dataclass(frozen=True)
 class SampleConfig:
-    """Reproducible sampling policy; trials >= 2 guards against bad draws."""
+    """Reproducible sampling policy over trials first_trial .. trials - 1."""
 
     seed: int = 0
-    trials: int = 2
+    trials: int = 2  # trials >= 2 guards against bad draws
     field: FieldConfig = DEFAULT_FIELD
+    first_trial: int = 0  # above 0 only where scanner.settle skips known draws
 
     def __post_init__(self) -> None:
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
+        if not 0 <= self.first_trial < self.trials:
+            raise ValueError("need 0 <= first_trial < trials")
 
 
 def derived_rng(seed: int, *key: int) -> np.random.Generator:
@@ -253,11 +256,10 @@ def best_ranks(
     params: SegreVeroneseParams,
     s_values: Iterable[int],
     cfg: SampleConfig,
-    first_trial: int = 0,
     ceiling: int | None = None,
 ) -> dict[int, int]:
     """Best rank of s stacked tangent blocks over the draws of trials
-    first_trial .. cfg.trials - 1, per s.
+    cfg.first_trial .. cfg.trials - 1, per s.
 
     Each trial draws max(s) points once and ranks stacked_tangent_matrix of
     them, n+m+1 rows per point: the Euler-redundant row of each block is
@@ -275,7 +277,7 @@ def best_ranks(
     wanted = sized_s_values(params, s_values, cfg.field)
     kept = params.n + params.m + 1
     best = dict.fromkeys(wanted, 0)
-    for trial in range(first_trial, cfg.trials):
+    for trial in range(cfg.first_trial, cfg.trials):
         open_s = [
             s for s in wanted if best[s] < min(params.coefficient_count, s * kept)
         ]
@@ -297,17 +299,16 @@ def secant_dimension(
     params: SegreVeroneseParams,
     s: int,
     cfg: SampleConfig,
-    first_trial: int = 0,
     ceiling: int | None = None,
 ) -> int:
     """Projective dimension of the span of s sampled tangent spaces.
 
-    Takes the best rank over the independent draws of trials first_trial ..
+    Takes the best rank over the draws of trials cfg.first_trial ..
     cfg.trials - 1; the result never exceeds min(N, s(n+m+1) - 1) and
     equals the generic secant dimension with overwhelming probability.
     ceiling is a proven upper bound on the rank (best_ranks).
     """
-    return best_ranks(params, (s,), cfg, first_trial, ceiling)[s] - 1
+    return best_ranks(params, (s,), cfg, ceiling)[s] - 1
 
 
 def singular_products(

@@ -127,7 +127,7 @@ def test_scan_cell_escalates_in_one_exact_step(monkeypatch):
         calls.append(cfg)
         # no product of forms is singular at five points of (2, 3, 2), so
         # the bound is N + 1
-        assert kwargs == {"first_trial": 0, "ceiling": 30}
+        assert kwargs == {"ceiling": 30}
         return real(params, s, cfg, **kwargs)
 
     monkeypatch.setattr(scanner, "secant_dimension", counted)
@@ -139,7 +139,8 @@ def test_scan_cell_escalates_in_one_exact_step(monkeypatch):
     assert not calls[0].field.is_modular
     assert calls[0].field.modulus == cfg.field.modulus
     assert calls[0].trials == rec.trials == 4
-    # the escalation recomputes the row's own draws
+    # the escalation after a modular pass recomputes the row's own draws
+    assert calls[0].first_trial == 0
     assert calls[0].seed == scanner._row_config(params, cfg).seed
 
 
@@ -458,6 +459,74 @@ def test_settle_samples_a_miss_again_over_q_at_doubled_trials():
     assert scanner.settle(6, 4, cfg, sample, min) == (5, 4)
     rational = FieldConfig(modulus=7).to_rational()
     assert seen == [SampleConfig(seed=3, trials=4, field=rational)] * 3
+    # a pass over Q has ranked trials 0 .. 1 already, so only 2 .. 3 are drawn
+    exact = SampleConfig(seed=3, trials=2, field=rational)
+    assert scanner.settle(4, 6, exact, sample) == (5, 4)
+    assert seen[-1] == SampleConfig(seed=3, trials=4, field=rational, first_trial=2)
+
+
+def test_exact_verify_settles_on_the_new_draws_alone(monkeypatch, capsys):
+    # the pass over Q ranks trials 0 .. 2, so each of the five mismatches
+    # settles both sides on trials 3 .. 5 alone, to the same report
+    args = ["verify", "dictionary", "--n-max", "2", "--m-max", "2",
+            "--d-min", "3", "--d-max", "4", "--prime", "7", "--trials", "3",
+            "--backend", "exact"]
+    ranks, dims = [], []
+    real_ranks, real_dims = terracini.best_ranks, scanner.best_scheme_dimension
+
+    def walked_ranks(params, s_values, cfg, *ceiling):
+        ranks.append((cfg.first_trial, cfg.trials))
+        return real_ranks(params, s_values, cfg, *ceiling)
+
+    def walked_dims(params, s, t, cfg, key):
+        dims.append((cfg.first_trial, cfg.trials))
+        return real_dims(params, s, t, cfg, key)
+
+    # the pass ranks through scanner.best_ranks, the settles through
+    # terracini's
+    monkeypatch.setattr(terracini, "best_ranks", walked_ranks)
+    monkeypatch.setattr(scanner, "best_scheme_dimension", walked_dims)
+    assert main(args) == 1
+    summary = json.loads(capsys.readouterr().out)
+    assert summary["cellsChecked"] == 62
+    assert summary["failures"] == [{
+        "check": "dictionary", "n": 2, "m": 2, "d": 4, "s": 9, "lhs": 0,
+        "rhs": 1, "seed": 0, "trials": 3, "modulus": 7,
+    }]
+    assert ranks == [(3, 6)] * 5
+    assert sorted(dims) == [(0, 3)] * 62 + [(3, 6)] * 5
+
+
+def test_a_dictionary_lhs_settles_under_the_bound(monkeypatch):
+    # at (1, 2, 3), s = 5, the pass meets the bound N + 1 - k = 19, so a
+    # forced mismatch settles the rank with nothing lifted; s = 0, forced
+    # too, is never ranked
+    params = SegreVeroneseParams(1, 2, 3)
+    real_dims = scanner.best_scheme_dimension
+
+    def raised(params, s, t, cfg, key):
+        dim = real_dims(params, s, t, cfg, key)
+        return dim + 1 if cfg.field.is_modular and s in (0, 5) else dim
+
+    # the certificates run inside each settle's best_ranks call, per s
+    certified, lifted = [], {}
+    real_ranks, real_certify = terracini.best_ranks, linalg._certify
+
+    def ranks(params, s_values, cfg, *ceiling):
+        before = len(certified)
+        result = real_ranks(params, s_values, cfg, *ceiling)
+        lifted[tuple(s_values)] = len(certified) - before
+        return result
+
+    def certify(*args):
+        certified.append(args)
+        return real_certify(*args)
+
+    monkeypatch.setattr(scanner, "best_scheme_dimension", raised)
+    monkeypatch.setattr(terracini, "best_ranks", ranks)
+    monkeypatch.setattr(linalg, "_certify", certify)
+    assert scanner._dictionary_failures(params, range(0, 6), CFG) == {}
+    assert lifted == {(5,): 0}
 
 
 def _unsettled(value, target, cfg, sample, better=max):

@@ -215,6 +215,12 @@ def test_secant_dimension_rejects_empty_sample():
         ideal_dim_bidegree(SegreVeroneseParams(1, 1, 3), -1, CFG)
 
 
+@pytest.mark.parametrize("first_trial", [3, -1])
+def test_sample_config_refuses_a_first_trial_outside_its_trials(first_trial):
+    with pytest.raises(ValueError, match="first_trial"):
+        SampleConfig(seed=0, trials=3, first_trial=first_trial)
+
+
 def test_small_modulus_rejected():
     tiny = SampleConfig(seed=0, trials=1, field=FieldConfig(modulus=3))
     with pytest.raises(ValueError):
