@@ -40,6 +40,7 @@ from .monomials import (
     evaluation_row,
     graded_basis,
 )
+from .streams import Stream
 from .terracini import (
     SampleConfig,
     SegreVeroneseParams,
@@ -340,7 +341,7 @@ def sample_scheme(
     params: SegreVeroneseParams,
     s: int,
     t: int,
-    rng: np.random.Generator,
+    rng: Stream,
     modulus: int,
     specialize: bool = False,
 ) -> SchemeSpec:

@@ -45,6 +45,7 @@ from .monomials import (
     evaluation_row,
     graded_basis,
 )
+from .streams import Stream, first_state_word
 
 # every report prints N = (n+1)C(m+d, d) - 1 or thresholds of that size, and
 # Python prints an int of at most 4300 digits by default
@@ -130,24 +131,35 @@ class SampleConfig:
             raise ValueError("need 0 <= first_trial < trials")
 
 
-def derived_rng(seed: int, *key: int) -> np.random.Generator:
-    """Independent, reproducible stream for a (seed, key path) pair."""
-    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=key))
+def derived_rng(seed: int, *key: int) -> Stream:
+    """Independent, reproducible stream for a (seed, key path) pair.
+
+    It is computed in the package (streams.Stream) and draws what numpy's
+    default_rng(SeedSequence(seed, spawn_key=key)) draws, so the sampled
+    points do not depend on the installed numpy's Generator.
+    """
+    return Stream(seed, key)
 
 
 def derived_seed(seed: int, *key: int) -> int:
-    """Collapse a key path to a plain integer seed for nested configs."""
-    return int(np.random.SeedSequence(seed, spawn_key=key).generate_state(1)[0])
+    """Collapse a key path to a plain integer seed for nested configs:
+    numpy's SeedSequence(seed, spawn_key=key).generate_state(1)[0],
+    computed in the package (streams.first_state_word)."""
+    return first_state_word(seed, key)
 
 
 def draw_projective_point(
-    rng: np.random.Generator,
+    rng: Stream,
     nvars: int,
     modulus: int,
     zero_coord: int | None = None,
     nonzero_tail: int = 0,
 ) -> tuple[int, ...]:
     """Uniform point of GF(p)^nvars minus the zero vector.
+
+    The coordinates are rng.integers(0, modulus, size=nvars), redrawn until
+    the point is kept, so a derived_rng stream and numpy's
+    default_rng(SeedSequence(seed, spawn_key=key)) give the same points.
 
     zero_coord pins one coordinate to 0 (specialization onto a coordinate
     hyperplane); nonzero_tail = k rejects draws whose last k coordinates all
@@ -165,7 +177,7 @@ def draw_projective_point(
 
 
 def random_point_pair(
-    params: SegreVeroneseParams, rng: np.random.Generator, modulus: int
+    params: SegreVeroneseParams, rng: Stream, modulus: int
 ) -> PointPair:
     return PointPair(
         draw_projective_point(rng, params.n + 1, modulus),
