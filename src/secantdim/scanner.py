@@ -16,10 +16,10 @@ modular run could; after a pass over Q only trials T .. 2T-1 are new. The
 scan settles a shortfall, verify a dictionary mismatch on both sides and a
 scheme dimension against its formula.
 
-Every rank, a scan's or a dictionary lhs's, is settled by _exact_rank: the
-products of forms through the row's trial-0 points (singular_products)
-bound the generic rank, and so every draw's rank over Q, by N + 1 - k. A
-rank over Q whose pivots reach that bound needs no certificate.
+Every rank, a scan's or a dictionary lhs's, is settled by _row_rank, the
+pass's own sampler for one s, rerun over Q at doubled trials; there
+best_ranks ranks under the proven bound N + 1 - k (singular_products), so
+a rank whose pivots reach it needs no certificate.
 
 The theorem suite eliminates each case's spanned configuration once: its
 v-span rows come last, so one row rank profile gives the base-locus check
@@ -59,9 +59,7 @@ from .terracini import (
     best_ranks,
     derived_rng,
     derived_seed,
-    sample_point_pairs,
     secant_dimension,
-    singular_products,
     sized_s_values,
 )
 
@@ -206,12 +204,10 @@ def settle(
     return better(value, sample(doubled)), doubled.trials
 
 
-def _exact_rank(params: SegreVeroneseParams, s: int, cfg: SampleConfig) -> int:
-    """settle's rank sampler: s ranked on the row's draws under ceiling N+1-k."""
-    row = _row_config(params, cfg)
-    k = singular_products(params, sample_point_pairs(params, s, row, 0))
-    ceiling = None if k is None else params.coefficient_count - k
-    return secant_dimension(params, s, row, ceiling=ceiling) + 1
+def _row_rank(params: SegreVeroneseParams, s: int, cfg: SampleConfig) -> int:
+    """The best rank of s stacked tangent blocks on the row's draws: a
+    cell's own rank, and settle's rank sampler."""
+    return secant_dimension(params, s, _row_config(params, cfg)) + 1
 
 
 def scan_cell(
@@ -226,9 +222,9 @@ def scan_cell(
     computed for this s with the row's draws; otherwise it is computed here.
     """
     if best_rank is None:
-        best_rank = secant_dimension(params, s, _row_config(params, cfg)) + 1
+        best_rank = _row_rank(params, s, cfg)
     expected = expected_secant_dim(params, s)
-    rank, trials = settle(best_rank, expected + 1, cfg, partial(_exact_rank, params, s))
+    rank, trials = settle(best_rank, expected + 1, cfg, partial(_row_rank, params, s))
     gap = defect(params, s, rank - 1)
     th = thresholds(params)
     in_range = params.d >= 3 and (s <= th.s1 or s >= th.s2)
@@ -334,7 +330,7 @@ def _dictionary_failures(
         seed = derived_seed(cfg.seed, params.n, params.m, params.d, s)
         own = replace(cfg, seed=seed)
         key = (seed, _DICTIONARY_TAG)
-        rank_at = partial(_exact_rank, params, s)
+        rank_at = partial(_row_rank, params, s)
         rhs_at = partial(best_scheme_dimension, params, s, 0, key=key)
         rank, rhs = ranks.get(s, 0), rhs_at(own)
         (rank, _), (rhs, _) = (

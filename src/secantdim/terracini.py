@@ -265,10 +265,7 @@ def sized_s_values(
 
 
 def best_ranks(
-    params: SegreVeroneseParams,
-    s_values: Iterable[int],
-    cfg: SampleConfig,
-    ceiling: int | None = None,
+    params: SegreVeroneseParams, s_values: Iterable[int], cfg: SampleConfig
 ) -> dict[int, int]:
     """Best rank of s stacked tangent blocks over the draws of trials
     cfg.first_trial .. cfg.trials - 1, per s.
@@ -281,14 +278,19 @@ def best_ranks(
     every prefix rank. A rank never exceeds its cap min(N+1, s(n+m+1)), so
     each later trial runs only for the s still below it, up to the largest.
 
-    ceiling, when given, is a proven upper bound on the rank of the largest
-    s (singular_products), which a rank over Q of one open s takes in place
-    of its certificate (linalg.rank). A profile cannot: a bound on its total
+    Over Q, one s is ranked under the ceiling N + 1 - k, where k is
+    singular_products of trial 0's s points: every draw's rank over Q is at
+    most the generic rank, which that bounds, so pivots that reach it need
+    no certificate (linalg.rank). A profile takes none: a bound on its total
     bounds none of its prefixes.
     """
     wanted = sized_s_values(params, s_values, cfg.field)
     kept = params.n + params.m + 1
     best = dict.fromkeys(wanted, 0)
+    ceiling = None
+    if len(wanted) == 1 and not cfg.field.is_modular:
+        k = singular_products(params, sample_point_pairs(params, wanted[0], cfg, 0))
+        ceiling = None if k is None else params.coefficient_count - k
     for trial in range(cfg.first_trial, cfg.trials):
         open_s = [
             s for s in wanted if best[s] < min(params.coefficient_count, s * kept)
@@ -307,20 +309,15 @@ def best_ranks(
     return best
 
 
-def secant_dimension(
-    params: SegreVeroneseParams,
-    s: int,
-    cfg: SampleConfig,
-    ceiling: int | None = None,
-) -> int:
+def secant_dimension(params: SegreVeroneseParams, s: int, cfg: SampleConfig) -> int:
     """Projective dimension of the span of s sampled tangent spaces.
 
     Takes the best rank over the draws of trials cfg.first_trial ..
-    cfg.trials - 1; the result never exceeds min(N, s(n+m+1) - 1) and
+    cfg.trials - 1 (best_ranks, which over Q ranks under the proven bound of
+    singular_products); the result never exceeds min(N, s(n+m+1) - 1) and
     equals the generic secant dimension with overwhelming probability.
-    ceiling is a proven upper bound on the rank (best_ranks).
     """
-    return best_ranks(params, (s,), cfg, ceiling)[s] - 1
+    return best_ranks(params, (s,), cfg)[s] - 1
 
 
 def singular_products(

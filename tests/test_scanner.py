@@ -120,22 +120,27 @@ def test_scan_cell_escalates_real_defect():
 
 
 def test_scan_cell_escalates_in_one_exact_step(monkeypatch):
-    real = scanner.secant_dimension
-    calls = []
+    real, real_rank = scanner.secant_dimension, terracini.rank
+    calls, ceilings = [], []
 
-    def counted(params, s, cfg, **kwargs):
+    def counted(params, s, cfg):
         calls.append(cfg)
-        # no product of forms is singular at five points of (2, 3, 2), so
-        # the bound is N + 1
-        assert kwargs == {"ceiling": 30}
-        return real(params, s, cfg, **kwargs)
+        return real(params, s, cfg)
+
+    def ranked(mat, cfg, ceiling=None):
+        ceilings.append(ceiling)
+        return real_rank(mat, cfg, ceiling)
 
     monkeypatch.setattr(scanner, "secant_dimension", counted)
+    monkeypatch.setattr(terracini, "rank", ranked)
     params = SegreVeroneseParams(2, 3, 2)
     cfg = SampleConfig(seed=0, trials=2)
     rec = scan_cell(params, 5, cfg, best_rank=29)
     assert rec.defect == 1
     assert len(calls) == 1
+    # no product of forms is singular at five points of (2, 3, 2), so each
+    # of the four ranks over Q is bounded by N + 1
+    assert ceilings == [30] * 4
     assert not calls[0].field.is_modular
     assert calls[0].field.modulus == cfg.field.modulus
     assert calls[0].trials == rec.trials == 4
@@ -161,7 +166,7 @@ def test_scan_cell_takes_a_met_bound_in_place_of_certificates(monkeypatch):
     assert certified == []
     assert (proven.computed, proven.defect, proven.trials) == (18, 1, 4)
     # without the bound each rank is certified, to the same record
-    monkeypatch.setattr(scanner, "singular_products", lambda params, points: None)
+    monkeypatch.setattr(terracini, "singular_products", lambda params, points: None)
     assert scan_cell(params, 5, CFG) == proven
     assert len(certified) == 4
 
@@ -187,9 +192,9 @@ def test_scan_cell_escalates_a_shortfall_the_bound_does_not_meet(
     exact = []
     real = scanner.secant_dimension
 
-    def counted(params, s, cfg, **kwargs):
+    def counted(params, s, cfg):
         exact.append(not cfg.field.is_modular)
-        return real(params, s, cfg, **kwargs)
+        return real(params, s, cfg)
 
     monkeypatch.setattr(scanner, "secant_dimension", counted)
     rec = scan_cell(params, s, cfg)
@@ -266,6 +271,45 @@ def test_exact_certificates_prove_only_the_true_shortfall(monkeypatch, capsys):
     rec = scan_cell(SegreVeroneseParams(2, 5, 2), 8, SampleConfig(seed=0))
     assert (rec.defect, rec.trials) == (1, 4)
     assert counts == [1] * 4
+
+
+@pytest.mark.parametrize(
+    "args, bounded, unbounded",
+    [
+        # k = 1 and k = 2: the pass's one rank over Q and the escalation's
+        # reach N + 1 - k, where each would lift the 1 or 2 columns of the
+        # shortfall
+        (("dim", "1", "2", "3", "5", "--trials", "1"), [], [1, 1]),
+        (("dim", "10", "2", "3", "9", "--trials", "1"), [], [2, 2]),
+        # k = 0 at d = 2: the pass's two ranks and the escalation's two fall
+        # short of N + 1, so each is certified
+        (("dim", "2", "3", "2", "5"), [1] * 4, [1] * 4),
+        # a profile takes no bound, so only the escalation of s = 5 drops
+        # its certificates
+        (("scan", "--grid", "(1,2,3)"), [8, 1], [8, 1, 1, 1]),
+    ],
+)
+def test_an_exact_pass_of_one_s_ranks_under_the_bound(
+    monkeypatch, capsys, args, bounded, unbounded
+):
+    # the non-pivot column count of every certificate, with the bound and
+    # with singular_products proving nothing
+    counts = []
+    real = linalg._certify
+
+    def counted(ints, rows, cols, p):
+        counts.append(ints.shape[1] - len(cols))
+        return real(ints, rows, cols, p)
+
+    monkeypatch.setattr(linalg, "_certify", counted)
+    assert main([*args, "--backend", "exact"]) == 0
+    report = capsys.readouterr().out
+    assert counts == bounded
+    counts.clear()
+    monkeypatch.setattr(terracini, "singular_products", lambda params, points: None)
+    assert main([*args, "--backend", "exact"]) == 0
+    assert capsys.readouterr().out == report
+    assert counts == unbounded
 
 
 def test_scan_cell_rejects_a_rank_above_the_parameter_count():
@@ -474,9 +518,9 @@ def test_exact_verify_settles_on_the_new_draws_alone(monkeypatch, capsys):
     ranks, dims = [], []
     real_ranks, real_dims = terracini.best_ranks, scanner.best_scheme_dimension
 
-    def walked_ranks(params, s_values, cfg, *ceiling):
+    def walked_ranks(params, s_values, cfg):
         ranks.append((cfg.first_trial, cfg.trials))
-        return real_ranks(params, s_values, cfg, *ceiling)
+        return real_ranks(params, s_values, cfg)
 
     def walked_dims(params, s, t, cfg, key):
         dims.append((cfg.first_trial, cfg.trials))
@@ -512,9 +556,9 @@ def test_a_dictionary_lhs_settles_under_the_bound(monkeypatch):
     certified, lifted = [], {}
     real_ranks, real_certify = terracini.best_ranks, linalg._certify
 
-    def ranks(params, s_values, cfg, *ceiling):
+    def ranks(params, s_values, cfg):
         before = len(certified)
-        result = real_ranks(params, s_values, cfg, *ceiling)
+        result = real_ranks(params, s_values, cfg)
         lifted[tuple(s_values)] = len(certified) - before
         return result
 

@@ -379,6 +379,29 @@ def test_singular_products_meet_the_sampled_rank(monkeypatch, cell, s, k, bound)
         assert shapes == [(5, 6), (5, 6)]
 
 
+@pytest.mark.parametrize(
+    "cell, s, k",
+    [
+        ((1, 2, 3), 5, 1),
+        ((10, 2, 3), 9, 2),
+        ((3, 3, 1), 2, 4),
+        # no e has both a Q and a G by counts
+        ((2, 3, 2), 5, 0),
+        # full rank 25, below the bound N + 1 - k = 26
+        ((2, 2, 3), 5, 4),
+    ],
+)
+def test_one_rank_over_q_under_the_bound_is_the_certified_rank(
+    monkeypatch, cell, s, k
+):
+    params = SegreVeroneseParams(*cell)
+    exact = SampleConfig(seed=0, trials=2, field=FieldConfig(backend=EXACT_RATIONAL))
+    assert singular_products(params, sample_point_pairs(params, s, exact, 0)) == k
+    bounded = best_ranks(params, (s,), exact)
+    monkeypatch.setattr(terracini, "singular_products", lambda params, points: None)
+    assert best_ranks(params, (s,), exact) == bounded
+
+
 def test_singular_products_refuse_a_draw_with_two_equal_b():
     params = SegreVeroneseParams(1, 2, 3)
     points = sample_point_pairs(params, 5, CFG, 0)
