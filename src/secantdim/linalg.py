@@ -39,10 +39,10 @@ BACKENDS = (MODULAR, EXACT_RATIONAL)
 # Largest prime below 2^30: leaves headroom for 64-bit multiply-accumulate.
 DEFAULT_MODULUS = 1073741789
 
-# Largest condition matrix a caller may build, in entries. The row array
-# (which the matrix keeps) and its elimination peak near 31 bytes per entry
-# on the modular path (tracemalloc over one warm trial: 31 at (3,3,4),
-# s = 21, and 25 at (5,5,5), s = 135), so this caps a matrix near 0.75 GB.
+# Largest condition matrix a caller may build, in entries. On the modular
+# path (tracemalloc, caches warm) a stacked tangent matrix peaks at 23 bytes
+# an entry to build and 31 to eliminate, matrix held, at (3,3,4), s = 21 (18
+# and 24 at (5,5,5), s = 135), so this caps a matrix near 0.75 GB.
 MAX_MATRIX_ENTRIES = 24_000_000
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)

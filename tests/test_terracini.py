@@ -1,5 +1,6 @@
 """Tangent blocks and sampled secant dimensions."""
 
+import tracemalloc
 from bisect import bisect_left
 from itertools import product
 from math import comb
@@ -187,6 +188,23 @@ def test_reduced_stack_refuses_a_point_that_vanishes_in_the_field():
     assert stacked_tangent_matrix(params, [point], MOD).rows == 3
     with pytest.raises(ValueError, match="vanish"):
         stacked_tangent_matrix(params, [point], FieldConfig(modulus=7))
+
+
+@pytest.mark.parametrize("cell, s, most", [((3, 3, 4), 21, 26), ((22, 3, 3), 18, 21)])
+def test_stacked_tangent_matrix_builds_within_its_byte_budget(cell, s, most):
+    # the build's traced peak per entry of the matrix it returns, caches
+    # warm. The int64 entries take 8 bytes and the partials' temporaries
+    # about two matrices more; one more matrix-sized temporary would not fit
+    params = SegreVeroneseParams(*cell)
+    points = sample_point_pairs(params, s, CFG, 0)
+    stacked_tangent_matrix(params, points, MOD)
+    tracemalloc.start()
+    try:
+        mat = stacked_tangent_matrix(params, points, MOD)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / (mat.rows * mat.cols) <= most
 
 
 def test_generic_block_rank_is_full():
