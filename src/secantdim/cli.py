@@ -1,7 +1,8 @@
 """Command-line surface: dim, thresholds, scan, verify.
 
 Exit status is 0 on success (scan reports defect candidates without
-failing), 1 when a verification finds failures, 2 on invalid parameters.
+failing), 1 when a verification finds failures, 2 on invalid parameters or
+a report that cannot be written.
 Identical invocations produce byte-identical reports.
 """
 
@@ -9,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import sys
 
@@ -259,8 +261,17 @@ def _parse_grids(args: argparse.Namespace) -> list[ScanGrid]:
 
 
 def _emit(text: str, output: str | None) -> None:
+    """Write the report to output, or to stdout. Either one unwritable is a
+    refusal, a closed pipe on stdout included."""
     if output is None:
-        sys.stdout.write(text)
+        try:
+            sys.stdout.write(text)
+            sys.stdout.flush()
+        except BrokenPipeError as exc:
+            # what is left buffered goes to devnull, so the flush at exit
+            # cannot fail again and print "Exception ignored"
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            raise ValueError(f"cannot write stdout: {exc.strerror}") from exc
         return
     try:
         with open(output, "w", encoding="utf-8") as handle:

@@ -26,6 +26,13 @@ v-span rows come last, so one row rank profile gives the base-locus check
 the dimension before and after the spans are attached, and the Castelnuovo
 check its total. The case is split across H once, and the projection check
 reads its residual dimension from that split.
+
+A scan report is rendered from each record's attributes, with no dict built
+per record: records_to_json fills one template laid out once from
+RECORD_FIELDS, writing each value as the literal json.dumps writes, so its
+bytes are those of json.dumps(..., indent=2), and records_to_csv joins the
+same literals, a status as itself. Verify summaries, whose failures are
+dicts of varying keys, still go through json.dumps.
 """
 
 from __future__ import annotations
@@ -33,6 +40,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, fields, replace
 from functools import cached_property, partial
+from json.encoder import encode_basestring_ascii
+from operator import attrgetter
 from typing import Callable, Iterator, Sequence
 
 from .expected import defect, expected_scheme_dim, expected_secant_dim, thresholds
@@ -119,6 +128,8 @@ class SecantRecord:
 _RENAMED = {"ambient": "N", "in_theorem_range": "inTheoremRange"}
 _ATTRS = tuple(f.name for f in fields(SecantRecord))
 RECORD_FIELDS = tuple(_RENAMED.get(attr, attr) for attr in _ATTRS)
+# a record's values in report order
+_values = attrgetter(*_ATTRS)
 
 
 @dataclass(frozen=True)
@@ -559,23 +570,48 @@ def _failure(
 
 
 def record_to_dict(record: SecantRecord) -> dict:
-    return {key: getattr(record, attr) for key, attr in zip(RECORD_FIELDS, _ATTRS)}
+    return dict(zip(RECORD_FIELDS, _values(record)))
 
 
+def _literal(value) -> str:
+    """A scalar as json.dumps writes it: a bool as true or false (tested
+    first, bool being an int), an int as its repr, a string quoted with
+    non-ASCII and control characters escaped."""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    return encode_basestring_ascii(value)
+
+
+# one report entry of json.dumps(..., indent=2), a %s for each value
+_JSON_RECORD = (
+    "  {\n"
+    + ",\n".join(f"    {encode_basestring_ascii(key)}: %s" for key in RECORD_FIELDS)
+    + "\n  }"
+)
 def records_to_json(records: Sequence[SecantRecord]) -> str:
-    return json.dumps([record_to_dict(r) for r in records], indent=2) + "\n"
+    """The records as a JSON list, byte for byte what json.dumps([
+    record_to_dict(r) for r in records], indent=2) + "\n" gives: one fixed
+    template per record, filled from its attributes, so no dict is built
+    and no encoder walks the values."""
+    if not records:
+        return "[]\n"
+    body = ",\n".join(
+        _JSON_RECORD % tuple(map(_literal, _values(r))) for r in records
+    )
+    return f"[\n{body}\n]\n"
 
 
 def _csv_value(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    return str(value)
+    """The JSON literal of a scalar, or a string as itself."""
+    return value if isinstance(value, str) else _literal(value)
 
 
 def records_to_csv(records: Sequence[SecantRecord]) -> str:
     lines = [",".join(RECORD_FIELDS)]
     for record in records:
-        lines.append(",".join(_csv_value(v) for v in record_to_dict(record).values()))
+        lines.append(",".join(map(_csv_value, _values(record))))
     return "\n".join(lines) + "\n"
 
 
@@ -597,6 +633,8 @@ def summary_to_csv(summary: VerifySummary) -> str:
             for k, v in failure.items()
             if k not in fields and k != "scheme"
         )
-        columns = (str(failure.get(k, "")) for k in fields[:-1])
-        lines.append(",".join([*columns, detail]))
+        # an absent s and the null t of a dictionary entry are empty fields
+        columns = (failure.get(k) for k in fields[:-1])
+        cells = ["" if v is None else str(v) for v in columns]
+        lines.append(",".join([*cells, detail]))
     return "\n".join(lines) + "\n"

@@ -1,6 +1,7 @@
 """End-to-end command line checks through the installed entry point."""
 
 import json
+import os
 import resource
 import shlex
 import subprocess
@@ -486,6 +487,31 @@ def test_unwritable_output_exits_two(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("secantdim: cannot write")
+
+
+@pytest.mark.parametrize(
+    "args", [("dim", "1", "2", "3", "5"), ("verify", "theorem", "--grid", "(1,1,3)")]
+)
+def test_a_closed_stdout_is_a_refusal(args):
+    # the reader has gone before the report is written, as in `... | head -0`:
+    # one line on stderr and exit 2, as for an --output that cannot be
+    # written, not a traceback and the exit status of a failed verification
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            CMD + list(args),
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            text=True,
+            timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("secantdim: cannot write stdout")
+    assert proc.stderr.count("\n") == 1 and proc.stderr.endswith("\n")
+    assert "Traceback" not in proc.stderr
 
 
 ESCALATION_GOLDEN = Path(__file__).resolve().parent / "fixtures" / "escalation.txt"

@@ -4,11 +4,13 @@ import csv
 import dataclasses
 import io
 import json
+import operator
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from secantdim.cli import main
@@ -404,13 +406,32 @@ secant_records = st.lists(
 )
 
 
+def _dict_csv(rs) -> str:
+    """The CSV rendered from record_to_dict: a bool as true or false, any
+    other value as str() writes it."""
+    lines = [",".join(RECORD_FIELDS)]
+    for r in rs:
+        values = record_to_dict(r).values()
+        lines.append(
+            ",".join(
+                ("true" if v else "false") if isinstance(v, bool) else str(v)
+                for v in values
+            )
+        )
+    return "\n".join(lines) + "\n"
+
+
 @settings(max_examples=200, deadline=None)
 @given(secant_records)
 def test_records_round_trip_through_json_and_agree_with_csv(rs):
-    payload = json.loads(records_to_json(rs))
+    text = records_to_json(rs)
+    assert text == json.dumps([record_to_dict(r) for r in rs], indent=2) + "\n"
+    payload = json.loads(text)
     assert payload == [record_to_dict(r) for r in rs]
     assert all(list(entry) == list(RECORD_FIELDS) for entry in payload)
-    rows = list(csv.reader(io.StringIO(records_to_csv(rs))))
+    csv_text = records_to_csv(rs)
+    assert csv_text == _dict_csv(rs)
+    rows = list(csv.reader(io.StringIO(csv_text)))
     assert rows[0] == list(RECORD_FIELDS)
     assert len(rows) == len(payload) + 1
     for row, entry in zip(rows[1:], payload):
@@ -418,6 +439,40 @@ def test_records_round_trip_through_json_and_agree_with_csv(rs):
         assert row == [
             v if isinstance(v, str) else json.dumps(v) for v in entry.values()
         ]
+
+
+# integers of thousands of digits, below the 4,300 Python prints by default
+_huge = st.integers(10**2000, 10**4000)
+ANY_VALUES = {"in_theorem_range": st.booleans(), "status": st.text()}
+any_records = st.lists(
+    st.builds(
+        SecantRecord,
+        **{
+            f.name: ANY_VALUES.get(
+                f.name, st.integers() | _huge | _huge.map(operator.neg)
+            )
+            for f in dataclasses.fields(SecantRecord)
+        },
+    ),
+    max_size=4,
+)
+_ODD_RECORD = dataclasses.replace(
+    SecantRecord(*range(-(10**4000), -(10**4000) + 15)),
+    in_theorem_range=False,
+    status='"\\ \x00\x1f\x7f\u00e9\u2028\U0001f600',
+)
+
+
+@settings(max_examples=100, deadline=None)
+@example([])
+@example([_ODD_RECORD])
+@given(any_records)
+def test_records_to_json_writes_any_status_and_integer_as_json_dumps_does(rs):
+    # quotes, backslashes, control and non-ASCII characters in a status
+    text = records_to_json(rs)
+    assert text == json.dumps([record_to_dict(r) for r in rs], indent=2) + "\n"
+    assert json.loads(text) == [record_to_dict(r) for r in rs]
+    assert text.isascii()
 
 
 def test_verify_dictionary_grid_counts():
@@ -607,9 +662,29 @@ def test_a_mismatch_that_survives_settling_is_reported(monkeypatch):
     assert survivor in unsettled
 
 
-def test_scan_matches_the_benchmark_golden_report():
-    records = scan(grid_from_ranges(3, 3, 3, 4), SampleConfig(seed=0))
-    assert records_to_json(records).encode("utf-8") == GOLDEN.read_bytes()
+@pytest.fixture(scope="module")
+def d34_records():
+    """The records of a seed-0 scan of the scan-d34 grid."""
+    return scan(grid_from_ranges(3, 3, 3, 4), SampleConfig(seed=0))
+
+
+def test_scan_matches_the_benchmark_golden_report(d34_records):
+    assert records_to_json(d34_records).encode("utf-8") == GOLDEN.read_bytes()
+
+
+def test_records_to_json_renders_within_its_byte_budget(d34_records):
+    # the render's traced peak per character of the report it returns.
+    # json.dumps(..., indent=2) walks every value in Python at about 10
+    # bytes a character; one template per record needs about 3
+    records_to_json(d34_records)
+    tracemalloc.start()
+    try:
+        text = records_to_json(d34_records)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(d34_records) == 176
+    assert peak / len(text) <= 5
 
 
 def test_verify_theorem_suite_green():
