@@ -597,8 +597,11 @@ def records_to_json(records: Sequence[SecantRecord]) -> str:
     and no encoder walks the values."""
     if not records:
         return "[]\n"
+    # the values' tuple is built from a list: CPython takes a tuple of known
+    # length from its free list, where tuple(map(...)) grows a new one and
+    # then frees it to that list, which keeps up to 2,000 of them (0.3 MB)
     body = ",\n".join(
-        _JSON_RECORD % tuple(map(_literal, _values(r))) for r in records
+        _JSON_RECORD % tuple([_literal(v) for v in _values(r)]) for r in records
     )
     return f"[\n{body}\n]\n"
 
