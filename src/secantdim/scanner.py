@@ -590,11 +590,13 @@ _JSON_RECORD = (
     + ",\n".join(f"    {encode_basestring_ascii(key)}: %s" for key in RECORD_FIELDS)
     + "\n  }"
 )
+
+
 def records_to_json(records: Sequence[SecantRecord]) -> str:
-    """The records as a JSON list, byte for byte what json.dumps([
-    record_to_dict(r) for r in records], indent=2) + "\n" gives: one fixed
-    template per record, filled from its attributes, so no dict is built
-    and no encoder walks the values."""
+    """The records as a JSON list, byte for byte what
+    json.dumps([record_to_dict(r) for r in records], indent=2) + "\n" writes.
+    One template per record is filled from its attributes, so no dict is
+    built and no encoder walks the values."""
     if not records:
         return "[]\n"
     # the values' tuple is built from a list: CPython takes a tuple of known
