@@ -270,7 +270,9 @@ def _emit(text: str, output: str | None) -> None:
         except BrokenPipeError as exc:
             # what is left buffered goes to devnull, so the flush at exit
             # cannot fail again and print "Exception ignored"
-            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
             raise ValueError(f"cannot write stdout: {exc.strerror}") from exc
         return
     try:

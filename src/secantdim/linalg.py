@@ -330,6 +330,11 @@ def kernel_mod(values: np.ndarray, p: int) -> np.ndarray | None:
     return work[count:, count:] % p
 
 
+# operator.index refuses a fraction rather than truncate it, and turns a
+# numpy integer, whose products would overflow, into an unbounded one
+_exact_int = np.frompyfunc(operator.index, 1, 1)
+
+
 def _certified_pivots(grid: np.ndarray, ceiling: int | None = None) -> list[int]:
     """Pivot columns of an integer matrix over Q, each set proven before it
     is returned.
@@ -342,9 +347,7 @@ def _certified_pivots(grid: np.ndarray, ceiling: int | None = None) -> list[int]
     below; only finitely many primes divide a nonzero minor. The prime never
     depends on a sampling range, which may be small.
     """
-    # operator.index refuses a fraction rather than truncate it, and turns a
-    # numpy integer, whose products would overflow, into an unbounded one
-    ints = np.frompyfunc(operator.index, 1, 1)(grid)
+    ints = _exact_int(grid)
     p = DEFAULT_MODULUS
     while True:
         cols, rows = _rank_modular((ints % p).astype(np.int64), p)

@@ -25,7 +25,9 @@ The theorem suite eliminates each case's spanned configuration once: its
 v-span rows come last, so one row rank profile gives the base-locus check
 the dimension before and after the spans are attached, and the Castelnuovo
 check its total. The case is split across H once, and the projection check
-reads its residual dimension from that split.
+reads its residual dimension from that split. The Castelnuovo check
+eliminates the trace only where the trace's dimension_floor, which holds in
+any field, does not already settle the bound.
 
 A scan report is rendered from each record's attributes, with no dict built
 per record: records_to_json fills one template laid out once from
@@ -54,6 +56,7 @@ from .schemes import (
     _row_bound,
     add_v_spans,
     best_scheme_dimension,
+    dimension_floor,
     projected_scheme,
     residual_trace,
     sample_scheme,
@@ -433,8 +436,8 @@ class _Case:
     """One configuration of the theorem suite: s = (n+1)q double points and
     t spans. Each scheme dimension is computed once: the scheme and the
     spanned configuration from one elimination (base_locus), which gives
-    castelnuovo its total, and the residual and trace of the one split,
-    whose residual dimension the projection check reads."""
+    the Castelnuovo check its total, and the residual of the one split,
+    which that check and the projection check share."""
 
     params: SegreVeroneseParams
     q: int
@@ -475,14 +478,11 @@ class _Case:
         return residual_trace(self.spanned, self.params.d + 1)
 
     @cached_property
-    def castelnuovo(self) -> CastelnuovoCheck:
-        """The spanned configuration's total against its residual and trace,
-        the total read from base_locus."""
-        split, field = self.split, self.cfg.field
-        return CastelnuovoCheck(
-            self.base_locus[1],
-            scheme_ideal_dimension(split.residual, split.residual_degree, field),
-            scheme_ideal_dimension(split.trace, split.trace_degree, field),
+    def residual_dim(self) -> int:
+        """The split's residual dimension in degree d."""
+        split = self.split
+        return scheme_ideal_dimension(
+            split.residual, split.residual_degree, self.cfg.field
         )
 
 
@@ -514,7 +514,16 @@ def _check_base_locus(case: _Case) -> dict | None:
 
 
 def _check_castelnuovo(case: _Case) -> dict | None:
-    check = case.castelnuovo
+    """The spanned configuration's total, read from base_locus, against its
+    residual and trace. The trace is eliminated only where its
+    dimension_floor leaves the bound open."""
+    total, residual = case.base_locus[1], case.residual_dim
+    trace, degree = case.split.trace, case.split.trace_degree
+    if total <= residual + dimension_floor(trace, degree):
+        return None
+    check = CastelnuovoCheck(
+        total, residual, scheme_ideal_dimension(trace, degree, case.cfg.field)
+    )
     if check.holds:
         return None
     return {
@@ -527,7 +536,7 @@ def _check_castelnuovo(case: _Case) -> dict | None:
 
 def _check_projection(case: _Case) -> dict | None:
     residual = case.split.residual
-    residual_dim = case.castelnuovo.residual
+    residual_dim = case.residual_dim
     projected = projected_scheme(residual)
     projected_dim = scheme_ideal_dimension(projected, residual.d, case.cfg.field)
     if residual_dim == projected_dim:

@@ -12,6 +12,10 @@ A configuration consists of the fat flag dH1 + H2, double and simple
 points, and linear spans through H1 anchored at a point. Its ideal
 dimension in one degree is computed exactly: flag membership by restricting
 the monomial basis, everything else by explicit condition rows.
+
+As in monomials, small tuples (points, anchors, span indices) are built from
+lists, never by tuple(genexpr) or tuple(map(...)), so a verify report parks
+no tuples on CPython's free lists.
 """
 
 from __future__ import annotations
@@ -274,6 +278,13 @@ def _row_bound(
     return points + spans * per_span
 
 
+def dimension_floor(spec: SchemeSpec, degree: int) -> int:
+    """A lower bound on the degree piece's dimension in any field: the basis
+    size less the most rows the configuration imposes (_row_bound), since a
+    rank never exceeds the row count, and never below 0."""
+    return max(scheme_basis_size(spec, degree) - _row_bound(spec, degree), 0)
+
+
 def scheme_ideal_dimension(
     spec: SchemeSpec, degree: int, cfg: FieldConfig
 ) -> int:
@@ -321,7 +332,7 @@ def _condition_matrix(
     )
     basis = scheme_basis(spec, degree)
     anchors = spec.w_anchors + tuple(
-        _combined_point(spec, idx) for idx in spec.v_spans
+        [_combined_point(spec, idx) for idx in spec.v_spans]
     )
     # a double point imposes every first partial; by Euler its value row is
     # a combination of them, since the modulus exceeds the degree
@@ -372,10 +383,10 @@ def sample_scheme(
             nonzero_tail=m + 1,
         )
         doubles.append(SchemePoint(coords, on_h))
-    anchors = tuple(
+    anchors = [
         draw_projective_point(rng, nvars, modulus, nonzero_tail=m + 1)
         for _ in range(t)
-    )
+    ]
     return SchemeSpec(
         n=n,
         m=m,
@@ -383,7 +394,7 @@ def sample_scheme(
         fat_h1=params.d,
         include_h2=True,
         double_points=tuple(doubles),
-        w_anchors=anchors,
+        w_anchors=tuple(anchors),
     )
 
 
@@ -399,9 +410,8 @@ def best_scheme_dimension(
 
     Trial k draws from derived_rng(*key, k). A special draw can only raise
     the dimension, so the minimum is the generic value once any draw is
-    generic. No draw can go below the basis size less the most rows the
-    configuration imposes (a rank never exceeds the row count), so the
-    trials stop once the minimum reaches that floor.
+    generic. No draw can go below dimension_floor, so the trials stop once
+    the minimum reaches it.
     """
     degree = params.d + 1
     dims = []
@@ -410,8 +420,7 @@ def best_scheme_dimension(
             params, s, t, derived_rng(*key, trial), cfg.field.modulus
         )
         dims.append(scheme_ideal_dimension(spec, degree, cfg.field))
-        floor = scheme_basis_size(spec, degree) - _row_bound(spec, degree)
-        if min(dims) <= max(floor, 0):
+        if min(dims) <= dimension_floor(spec, degree):
             break
     return min(dims)
 
@@ -515,12 +524,12 @@ def residual_trace(spec: SchemeSpec, degree: int) -> ResidualTracePair:
         d=spec.d,
         fat_h1=spec.fat_h1,
         include_h2=False,
-        double_points=tuple(spec.double_points[i] for i in res_doubles),
-        simple_points=tuple(points[i] for i in res_simples),
+        double_points=tuple([spec.double_points[i] for i in res_doubles]),
+        simple_points=tuple([points[i] for i in res_simples]),
         # a span whose anchor left for the trace stays as a free anchor
         w_anchors=spec.w_anchors
-        + tuple(points[i] for i in spec.v_spans if i not in res_pos),
-        v_spans=tuple(res_pos[i] for i in spec.v_spans if i in res_pos),
+        + tuple([points[i] for i in spec.v_spans if i not in res_pos]),
+        v_spans=tuple([res_pos[i] for i in spec.v_spans if i in res_pos]),
     )
 
     # trace: a span at a traced double stays an indexed span; every other
@@ -537,7 +546,7 @@ def residual_trace(spec: SchemeSpec, degree: int) -> ResidualTracePair:
         anchors, tr_vspans, tr_fat = [], (), 0
     else:
         anchors += moved
-        tr_vspans = tuple(tr_pos[i] for i in spec.v_spans if i in tr_pos)
+        tr_vspans = tuple([tr_pos[i] for i in spec.v_spans if i in tr_pos])
         tr_fat = spec.fat_h1
     trace = SchemeSpec(
         n=h,
@@ -545,7 +554,7 @@ def residual_trace(spec: SchemeSpec, degree: int) -> ResidualTracePair:
         d=spec.d,
         fat_h1=tr_fat,
         include_h2=spec.include_h2,
-        double_points=tuple(map(SchemePoint, tr_doubles)),
+        double_points=tuple([SchemePoint(c) for c in tr_doubles]),
         simple_points=_new_points(tr_simples, tr_doubles),
         w_anchors=tuple(anchors),
         v_spans=tr_vspans,
@@ -618,7 +627,7 @@ def projected_scheme(residual: SchemeSpec) -> SchemeSpec:
         n=0,
         m=residual.m,
         d=residual.d,
-        double_points=tuple(map(SchemePoint, doubles)),
+        double_points=tuple([SchemePoint(c) for c in doubles]),
         simple_points=_new_points(images, doubles),
     )
 

@@ -514,6 +514,24 @@ def test_a_closed_stdout_is_a_refusal(args):
     assert "Traceback" not in proc.stderr
 
 
+def test_a_closed_stdout_refusal_leaves_no_descriptor_open(capsys, monkeypatch):
+    # in process, so the descriptors are this process's: the refusal points
+    # stdout at os.devnull through a descriptor of its own, which it must
+    # close once dup2 has copied it
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    stdout = os.fdopen(write_end, "w")
+    monkeypatch.setattr(sys, "stdout", stdout)
+    before = set(os.listdir("/dev/fd"))
+    try:
+        assert main(["dim", "1", "2", "3", "5"]) == 2
+        after = set(os.listdir("/dev/fd"))
+    finally:
+        stdout.close()
+    assert after == before
+    assert capsys.readouterr().err.startswith("secantdim: cannot write stdout")
+
+
 ESCALATION_GOLDEN = Path(__file__).resolve().parent / "fixtures" / "escalation.txt"
 
 # cells whose shortfalls at one trial are settled on escalation: special

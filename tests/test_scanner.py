@@ -687,15 +687,46 @@ def test_records_to_json_renders_within_its_byte_budget(d34_records):
     assert peak / len(text) <= 5
 
 
-def test_records_to_json_leaves_no_blocks_behind(d34_records):
+def test_records_to_json_leaves_no_blocks_behind(d34_records, blocks_left):
     # what renders keep allocated once they return, free lists included. A
     # tuple(map(...)) per record would leave about 100 blocks a render on
     # CPython's tuple free list, 0.3 MB of peak RSS over a long run
-    records_to_json(d34_records)
-    before = sys.getallocatedblocks()
-    for _ in range(10):
-        records_to_json(d34_records)
-    assert sys.getallocatedblocks() - before < 10
+    assert blocks_left(lambda: records_to_json(d34_records)) < 1
+
+
+# The report paths below pin CPython's tuple free lists (conftest's
+# _blocks_left): a tuple built by the resize path, tuple(genexpr) or
+# tuple(map(...)), takes a new block and is freed to the list of its final
+# size, so a call that builds one leaves a block behind until that list
+# holds 2,000. numpy's normalize_axis_tuple, which np.moveaxis calls, is
+# such a tuple(genexpr).
+
+
+def test_verify_report_leaves_no_tuples_on_the_free_lists(blocks_left):
+    # the scheme paths' tuple(genexpr) and tuple(map(SchemePoint, ...))
+    # (residual_trace, sample_scheme, projected_scheme, graded_basis) left
+    # about 500 blocks a call here, 0.8 MB of peak RSS over a 40 s run
+    grid = ScanGrid(n_values=(1, 2), m_values=(1, 2), d_values=(3,))
+    cfg = SampleConfig(seed=0)
+    assert blocks_left(lambda: verify_theorem_suite(grid, cfg)) < 20
+
+
+def test_scan_leaves_no_tuples_on_the_free_lists(blocks_left):
+    # np.moveaxis in the row kernels and BiBasis.combined's tuple(genexpr)
+    # left about 80 blocks a call on the scan-d34 grid
+    grid = grid_from_ranges(3, 3, 3, 4)
+    cfg = SampleConfig(seed=0)
+    assert blocks_left(lambda: scan(grid, cfg)) < 30
+
+
+def test_an_escalation_over_q_leaves_no_tuples_on_the_free_lists(blocks_left):
+    # defect-d2's (2, 3, 2) row, whose s = 5 shortfall is settled over Q:
+    # np.moveaxis's one-axis tuples left about 25 blocks a call. The lists
+    # and dicts that the row frees onto their own free lists, at most 80
+    # each, are most of what is left
+    grid = ScanGrid(n_values=(2,), m_values=(3,), d_values=(2,))
+    cfg = SampleConfig(seed=0)
+    assert blocks_left(lambda: scan(grid, cfg), repeats=20) < 15
 
 
 def test_verify_theorem_suite_green():
@@ -830,8 +861,9 @@ def test_verify_theorem_suite_computes_each_scheme_dimension_once(monkeypatch):
     the row before its cases, outside _run_checks. Per t: the formula 1,
     the base locus 1 (the scheme and the spanned configuration from one
     rank profile, whose full rank is also Castelnuovo's total), Castelnuovo
-    2 (residual and trace), the projection 1 (projected; its residual is
-    Castelnuovo's): 5. In all 1 + 2 * 5 = 11.
+    1 (the residual; the trace's dimension_floor settles the bound, so the
+    trace is not eliminated), the projection 1 (projected; its residual is
+    Castelnuovo's): 4. In all 1 + 2 * 4 = 9.
     """
     real = schemes.scheme_ideal_dimension
     real_pair = schemes.v_span_dimensions
@@ -872,12 +904,40 @@ def test_verify_theorem_suite_computes_each_scheme_dimension_once(monkeypatch):
         grid, SampleConfig(seed=0, trials=2), q_max=1, t_max=1
     )
     assert summary.ok
-    assert eliminated == [1, 5, 5]
-    assert sum(eliminated) == 11
+    assert eliminated == [1, 4, 4]
+    assert sum(eliminated) == 9
     # the pair asks for two dimensions per elimination
-    assert [len(calls) for calls in asked] == [1, 6, 6]
+    assert [len(calls) for calls in asked] == [1, 5, 5]
     for calls in asked:
         assert len(set(calls)) == len(calls)
+
+
+@pytest.mark.parametrize(
+    "cell, settled", [((1, 2, 3), True), ((2, 2, 3), False)]
+)
+def test_castelnuovo_builds_the_trace_only_where_its_floor_leaves_it_open(
+    monkeypatch, cell, settled
+):
+    # a trace's dimension is at least its dimension_floor in any field. At
+    # (1, 2, 3), q = 1, t = 0 the total 12 is the residual 6 plus the floor
+    # 6, so the check holds with no trace matrix built; at (2, 2, 3) the
+    # total 15 exceeds the residual 5 plus the floor 6, and the exact trace
+    # (10) is computed
+    case = scanner._Case(SegreVeroneseParams(*cell), 1, 0, SampleConfig(seed=0))
+    total, residual = case.base_locus[1], case.residual_dim
+    split = case.split
+    floor = schemes.dimension_floor(split.trace, split.trace_degree)
+    assert (total <= residual + floor) == settled
+    built = []
+    real = schemes._condition_matrix
+
+    def building(spec, degree, cfg):
+        built.append((spec, degree))
+        return real(spec, degree, cfg)
+
+    monkeypatch.setattr(schemes, "_condition_matrix", building)
+    assert scanner._check_castelnuovo(case) is None
+    assert built == ([] if settled else [(split.trace, split.trace_degree)])
 
 
 @pytest.mark.parametrize("n, m, d", [(1, 1, 3), (2, 3, 4), (3, 1, 5)])
