@@ -6,9 +6,10 @@ import sys
 import pytest
 
 
-def _blocks_left(call, repeats=10):
-    """The pymalloc blocks that each call of call() leaves allocated, averaged
-    over repeats calls after one warm call.
+@pytest.fixture
+def blocks_left():
+    """blocks_left(call, repeats=10): the pymalloc blocks that each call of
+    call() leaves allocated, averaged over repeats calls after one warm call.
 
     A full collection first empties CPython's free lists, so whatever a call
     parks on them counts against it, however full earlier tests left them.
@@ -17,15 +18,13 @@ def _blocks_left(call, repeats=10):
     up to 2,000 tuples of a size; a call that does so leaves blocks behind
     until that list is full.
     """
-    gc.collect()
-    call()
-    before = sys.getallocatedblocks()
-    for _ in range(repeats):
+
+    def measure(call, repeats=10):
+        gc.collect()
         call()
-    return (sys.getallocatedblocks() - before) / repeats
+        before = sys.getallocatedblocks()
+        for _ in range(repeats):
+            call()
+        return (sys.getallocatedblocks() - before) / repeats
 
-
-@pytest.fixture
-def blocks_left():
-    """_blocks_left, for tests that pin what a call leaves allocated."""
-    return _blocks_left
+    return measure

@@ -694,18 +694,15 @@ def test_records_to_json_leaves_no_blocks_behind(d34_records, blocks_left):
     assert blocks_left(lambda: records_to_json(d34_records)) < 1
 
 
-# The report paths below pin CPython's tuple free lists (conftest's
-# _blocks_left): a tuple built by the resize path, tuple(genexpr) or
-# tuple(map(...)), takes a new block and is freed to the list of its final
-# size, so a call that builds one leaves a block behind until that list
-# holds 2,000. numpy's normalize_axis_tuple, which np.moveaxis calls, is
-# such a tuple(genexpr).
+# The report paths below must park no tuples on CPython's free lists
+# (conftest's blocks_left). numpy's normalize_axis_tuple, which np.moveaxis
+# calls, builds its tuple with tuple(genexpr) too.
 
 
 def test_verify_report_leaves_no_tuples_on_the_free_lists(blocks_left):
     # the scheme paths' tuple(genexpr) and tuple(map(SchemePoint, ...))
     # (residual_trace, sample_scheme, projected_scheme, graded_basis) left
-    # about 500 blocks a call here, 0.8 MB of peak RSS over a 40 s run
+    # about 360 blocks a call here, 0.7 MB of peak RSS over a 40 s run
     grid = ScanGrid(n_values=(1, 2), m_values=(1, 2), d_values=(3,))
     cfg = SampleConfig(seed=0)
     assert blocks_left(lambda: verify_theorem_suite(grid, cfg)) < 20
